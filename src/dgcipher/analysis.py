@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Mapping
 
 from .cascade import encrypt_message
@@ -20,11 +21,10 @@ from .keyset import CascadeKeySet
 from .text_model import (
     ALPHABET,
     ALPHABET_SIZE,
+    LOWERCASE,
     IndexMode,
-    LetterUnit,
-    to_canonical,
-    to_lower_tr,
-    tokenize,
+    canonical_letters,
+    substitution_table,
 )
 
 CHI_SQUARED_FLOOR = 1e-6
@@ -54,13 +54,12 @@ class FrequencyTable:
 
 
 def _table_from_counts(counts: Counter[str]) -> FrequencyTable:
-    total = sum(counts.values())
+    """Fold per-character counts into the canonical letters; the rest is passthrough."""
+    folded = {upper: counts[upper] + counts[lower] for upper, lower in zip(ALPHABET, LOWERCASE)}
+    total = sum(folded.values())
     if total == 0:
         raise EmptyText("no letters to count")
-    return FrequencyTable(
-        counts={letter: counts.get(letter, 0) for letter in ALPHABET},
-        total_letters=total,
-    )
+    return FrequencyTable(counts=folded, total_letters=total)
 
 
 def letter_frequencies(text: str) -> FrequencyTable:
@@ -69,9 +68,7 @@ def letter_frequencies(text: str) -> FrequencyTable:
     Raises:
         EmptyText: the text contains no letters at all.
     """
-    return _table_from_counts(
-        Counter(u.letter for u in tokenize(text) if isinstance(u, LetterUnit))
-    )
+    return _table_from_counts(Counter(text))
 
 
 def build_reference_table(chunks: Iterable[str]) -> FrequencyTable:
@@ -84,7 +81,7 @@ def build_reference_table(chunks: Iterable[str]) -> FrequencyTable:
         chunks = [chunks]
     counts: Counter[str] = Counter()
     for chunk in chunks:
-        counts.update(u.letter for u in tokenize(chunk) if isinstance(u, LetterUnit))
+        counts.update(chunk)
     return _table_from_counts(counts)
 
 
@@ -96,15 +93,8 @@ class SubstitutionGuess:
 
     def apply(self, text: str) -> str:
         """Rewrite a text through the guess, keeping passthrough and case."""
-        out: list[str] = []
-        for char in text:
-            unit = to_canonical(char)
-            if isinstance(unit, LetterUnit):
-                image = self.mapping[unit.letter]
-                out.append(to_lower_tr(image) if unit.was_lowercase else image)
-            else:
-                out.append(unit.raw)
-        return "".join(out)
+        table = substitution_table("".join(self.mapping), "".join(self.mapping.values()))
+        return text.translate(table)
 
 
 def rank_match_attack(ciphertext: str, reference: FrequencyTable) -> SubstitutionGuess:
@@ -238,17 +228,11 @@ class FlatnessReport:
 
 def _rank_match_accuracy(ciphertext: str, plaintext: str, reference: FrequencyTable) -> float:
     """Fraction of letter positions a rank-match guess recovers correctly."""
-    recovered = rank_match_attack(ciphertext, reference).apply(ciphertext)
-    hits = 0
-    letters = 0
-    for got, want in zip(recovered, plaintext):
-        want_unit = to_canonical(want)
-        if isinstance(want_unit, LetterUnit):
-            letters += 1
-            got_unit = to_canonical(got)
-            if isinstance(got_unit, LetterUnit) and got_unit.letter == want_unit.letter:
-                hits += 1
-    return hits / letters
+    # Both ciphers keep every letter where it was, so the letters-only
+    # strings of the recovered text and the plaintext line up.
+    recovered = canonical_letters(rank_match_attack(ciphertext, reference).apply(ciphertext))
+    wanted = canonical_letters(plaintext)
+    return sum(map(eq, recovered, wanted)) / len(wanted)
 
 
 def flatness_report(

@@ -8,8 +8,12 @@ that row: find the staged letter in the final row and emit the letter one
 position earlier, wrapping from the first position to the last.
 
 Because every step is a fixed bijection, each group collapses to a single
-composite permutation; the whole cipher is a two-alphabet periodic
-substitution, which composite_table() makes explicit.
+composite permutation, which the keyset computes once
+(CascadeKeySet.composite_rows) and composite_table() exposes. The whole
+cipher is therefore a period-two substitution: each composite row becomes
+a case-aware str.translate table, and text_model.translate_periodic sends
+the even zero-based positions through the GROUP1 table and the odd ones
+through the GROUP2 table.
 
 Passthrough characters are copied verbatim and, in ALL_CHARS mode, still
 advance the position counter; in LETTERS_ONLY mode only letters advance
@@ -24,30 +28,25 @@ from typing import Iterable, Iterator
 from .keyset import CascadeKeySet, SubstitutionAlphabet
 from .text_model import (
     ALPHABET,
-    ALPHABET_SIZE,
+    LETTER_RUNS,
     Group,
     IndexMode,
-    LetterUnit,
-    group_for_position,
-    to_canonical,
-    to_lower_tr,
+    letter_index,
+    substitution_table,
+    translate_periodic,
 )
+
+_ROW = {Group.GROUP1: 0, Group.GROUP2: 1}
 
 
 def encrypt_letter(letter: str, group: Group, keyset: CascadeKeySet) -> str:
     """Encrypt one canonical letter through the given group's pipeline."""
-    stage1, stage2, stage3 = keyset.stages(group)
-    staged = stage3.image_of(stage2.image_of(stage1.image_of(letter)))
-    final = keyset.final
-    return final.letter_at((final.position_of(staged) - 1) % ALPHABET_SIZE)
+    return keyset.composite_rows[_ROW[group]][letter_index(letter)]
 
 
 def decrypt_letter(letter: str, group: Group, keyset: CascadeKeySet) -> str:
-    """Invert encrypt_letter: successor in the final row, then unwind the stages."""
-    final = keyset.final
-    staged = final.letter_at((final.position_of(letter) + 1) % ALPHABET_SIZE)
-    stage1, stage2, stage3 = keyset.stages(group)
-    return stage1.preimage_of(stage2.preimage_of(stage3.preimage_of(staged)))
+    """Invert encrypt_letter: the letter the group's pipeline sends here."""
+    return keyset.inverse_rows[_ROW[group]][letter_index(letter)]
 
 
 def transform_stream(
@@ -62,22 +61,13 @@ def transform_stream(
     The position counters are global across the stream: one stream is one
     message, however it is split, so memory use is bounded by chunk size.
     """
-    step = decrypt_letter if decrypt else encrypt_letter
-    position = 0
-    letter_ordinal = 0
+    rows = keyset.inverse_rows if decrypt else keyset.composite_rows
+    tables = tuple(substitution_table(ALPHABET, row) for row in rows)
+    runs = LETTER_RUNS if mode is IndexMode.LETTERS_ONLY else None
+    phase = 0
     for chunk in chunks:
-        out: list[str] = []
-        for char in chunk:
-            unit = to_canonical(char)
-            if isinstance(unit, LetterUnit):
-                group = group_for_position(position, mode, letter_ordinal)
-                image = step(unit.letter, group, keyset)
-                out.append(to_lower_tr(image) if unit.was_lowercase else image)
-                letter_ordinal += 1
-            else:
-                out.append(unit.raw)
-            position += 1
-        yield "".join(out)
+        out, phase = translate_periodic(chunk, tables, phase, runs)
+        yield out
 
 
 def encrypt_message(
@@ -99,6 +89,4 @@ def composite_table(group: Group, keyset: CascadeKeySet) -> SubstitutionAlphabet
 
     Constructing the result revalidates that the pipeline is a bijection.
     """
-    return SubstitutionAlphabet(
-        "".join(encrypt_letter(letter, group, keyset) for letter in ALPHABET)
-    )
+    return SubstitutionAlphabet(keyset.composite_rows[_ROW[group]])

@@ -13,7 +13,7 @@ import string
 from dataclasses import dataclass
 from enum import Enum
 from math import ceil
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     CircumferenceOutOfRange,
@@ -36,32 +36,20 @@ from .keyset import SplitMix64
 from .text_model import (
     ALPHABET,
     ALPHABET_SIZE,
+    LETTER_RUNS,
     LetterUnit,
-    letter_at,
-    letter_index,
+    canonical_letters,
+    substitution_table,
     to_canonical,
     to_lower_tr,
     to_upper_tr,
-    tokenize,
+    translate_periodic,
 )
 
 
-def _letters_of(message: str) -> list[str]:
-    """Canonical uppercase letters of a message, passthrough dropped."""
-    return [u.letter for u in tokenize(message) if isinstance(u, LetterUnit)]
-
-
-def _substitute(message: str, image_of: Callable[[str], str]) -> str:
-    """Apply a letter map to a message, keeping passthrough and case."""
-    out: list[str] = []
-    for char in message:
-        unit = to_canonical(char)
-        if isinstance(unit, LetterUnit):
-            image = image_of(unit.letter)
-            out.append(to_lower_tr(image) if unit.was_lowercase else image)
-        else:
-            out.append(unit.raw)
-    return "".join(out)
+def _substitute(message: str, image: str) -> str:
+    """Send each letter ALPHABET[j] to image[j], keeping passthrough and case."""
+    return message.translate(substitution_table(ALPHABET, image))
 
 
 # --- shift (rotation) ---
@@ -74,7 +62,7 @@ def _check_shift(k: int) -> None:
 def shift_encrypt(message: str, k: int) -> str:
     """Rotate every letter k places forward in the alphabet, modulo 29."""
     _check_shift(k)
-    return _substitute(message, lambda l: letter_at((letter_index(l) + k) % ALPHABET_SIZE))
+    return _substitute(message, ALPHABET[k:] + ALPHABET[:k])
 
 
 def shift_decrypt(message: str, k: int) -> str:
@@ -87,7 +75,7 @@ def shift_decrypt(message: str, k: int) -> str:
 
 def atbash(message: str) -> str:
     """Mirror every letter across the alphabet; its own inverse."""
-    return _substitute(message, lambda l: letter_at(ALPHABET_SIZE - 1 - letter_index(l)))
+    return _substitute(message, ALPHABET[::-1])
 
 
 # --- vigenere (running key) ---
@@ -131,24 +119,21 @@ def _key_letters(key: str, alphabet: Alphabet) -> str:
     return "".join(kept)
 
 
+_ENGLISH_RUNS = "([A-Za-z]+)"
+
+
 def _vigenere(message: str, key: str, alphabet: Alphabet, sign: int) -> str:
-    letters = string.ascii_uppercase if alphabet is Alphabet.ENGLISH26 else ALPHABET
-    fold_lower = str.lower if alphabet is Alphabet.ENGLISH26 else to_lower_tr
-    index = {c: i for i, c in enumerate(letters)}
+    if alphabet is Alphabet.ENGLISH26:
+        letters, lower, runs = string.ascii_uppercase, str.lower, _ENGLISH_RUNS
+    else:
+        letters, lower, runs = ALPHABET, to_lower_tr, LETTER_RUNS
     key_letters = _key_letters(key, alphabet)
-    out: list[str] = []
-    ki = 0
-    for char in message:
-        unit = _classify(char, alphabet)
-        if unit is not None:
-            k = index[key_letters[ki % len(key_letters)]]
-            image = letters[(index[unit.letter] + sign * k) % len(letters)]
-            out.append(fold_lower(image) if unit.was_lowercase else image)
-            ki += 1
-        else:
-            # Passthrough does not consume a key letter.
-            out.append(char)
-    return "".join(out)
+    tables = {}
+    for letter in set(key_letters):
+        k = sign * letters.index(letter) % len(letters)
+        tables[letter] = substitution_table(letters, letters[k:] + letters[:k], lower)
+    # Period len(key), counted over letters: passthrough does not consume a key letter.
+    return translate_periodic(message, [tables[c] for c in key_letters], 0, runs)[0]
 
 
 def vigenere_encrypt(message: str, key: str, alphabet: Alphabet = Alphabet.ENGLISH26) -> str:
@@ -215,7 +200,7 @@ class PlayfairTable:
 def playfair_build(keyword: str) -> PlayfairTable:
     """Build the table: keyword cells first (deduplicated, order kept),
     then every remaining cell in canonical order."""
-    keyword_letters = _letters_of(keyword)
+    keyword_letters = canonical_letters(keyword)
     if not keyword_letters:
         raise EmptyKeyword("keyword contains no letters")
     ordered: list[tuple[str, ...]] = []
@@ -227,7 +212,7 @@ def playfair_build(keyword: str) -> PlayfairTable:
     return PlayfairTable(ordered)
 
 
-def _playfair_pairs(letters: list[str], padding: str, table: PlayfairTable) -> list[tuple[str, str]]:
+def _playfair_pairs(letters: str, padding: str, table: PlayfairTable) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     i = 0
     while i < len(letters):
@@ -267,7 +252,7 @@ def playfair_encrypt(message: str, spec: PlayfairSpec) -> str:
     otherwise swap columns. Output letters are the cell representatives."""
     table = playfair_build(spec.keyword)
     padding = _padding_letter(spec)
-    pairs = _playfair_pairs(_letters_of(message), padding, table)
+    pairs = _playfair_pairs(canonical_letters(message), padding, table)
     return "".join("".join(_playfair_map(p, table, +1)) for p in pairs)
 
 
@@ -278,7 +263,7 @@ def playfair_decrypt(message: str, spec: PlayfairSpec) -> str:
     S, U or V. Padding letters inserted on encryption are kept.
     """
     table = playfair_build(spec.keyword)
-    letters = _letters_of(message)
+    letters = canonical_letters(message)
     if len(letters) % 2:
         raise OddLengthCiphertext(f"{len(letters)} letters cannot form digrams")
     pairs = [(letters[i], letters[i + 1]) for i in range(0, len(letters), 2)]
@@ -393,9 +378,9 @@ def rail_fence_encrypt(message: str, rails: int) -> str:
     """Write the letters in a zigzag over the rails, read rail by rail."""
     if rails < 1:
         raise RailsOutOfRange(f"rails must be at least 1: {rails}")
-    letters = _letters_of(message)
+    letters = canonical_letters(message)
     if rails == 1:
-        return "".join(letters)
+        return letters
     fence: list[list[str]] = [[] for _ in range(rails)]
     for letter, rail in zip(letters, _rail_pattern(len(letters), rails)):
         fence[rail].append(letter)
@@ -406,9 +391,9 @@ def rail_fence_decrypt(message: str, rails: int) -> str:
     """Invert rail_fence_encrypt; the original spacing is not restored."""
     if rails < 1:
         raise RailsOutOfRange(f"rails must be at least 1: {rails}")
-    letters = _letters_of(message)
+    letters = canonical_letters(message)
     if rails == 1:
-        return "".join(letters)
+        return letters
     pattern = _rail_pattern(len(letters), rails)
     counts = [pattern.count(r) for r in range(rails)]
     rail_iters = []
@@ -425,7 +410,7 @@ def scytale_encrypt(message: str, circumference: int) -> str:
     """Fill circumference rows in row-major order, read column by column."""
     if circumference < 1:
         raise CircumferenceOutOfRange(f"circumference must be at least 1: {circumference}")
-    letters = _letters_of(message)
+    letters = canonical_letters(message)
     if not letters:
         return ""
     cols = ceil(len(letters) / circumference)
@@ -441,7 +426,7 @@ def scytale_decrypt(message: str, circumference: int) -> str:
     """Invert scytale_encrypt for the same circumference."""
     if circumference < 1:
         raise CircumferenceOutOfRange(f"circumference must be at least 1: {circumference}")
-    letters = _letters_of(message)
+    letters = canonical_letters(message)
     if not letters:
         return ""
     cols = ceil(len(letters) / circumference)
@@ -459,21 +444,13 @@ def scytale_decrypt(message: str, circumference: int) -> str:
 
 def _vernam(message: str, key: str, sign: int) -> str:
     key_letters = _key_letters(key, Alphabet.TURKISH29) if any(not c.isspace() for c in key) else ""
-    needed = sum(1 for u in tokenize(message) if isinstance(u, LetterUnit))
+    needed = len(canonical_letters(message))
     if needed > len(key_letters):
         raise KeyTooShort(f"message has {needed} letters, key has {len(key_letters)}")
-    out: list[str] = []
-    ki = 0
-    for char in message:
-        unit = to_canonical(char)
-        if isinstance(unit, LetterUnit):
-            k = letter_index(key_letters[ki])
-            image = letter_at((letter_index(unit.letter) + sign * k) % ALPHABET_SIZE)
-            out.append(to_lower_tr(image) if unit.was_lowercase else image)
-            ki += 1
-        else:
-            out.append(unit.raw)
-    return "".join(out)
+    if not needed:
+        return message
+    # A running key as long as the message is a Vigenère key that never repeats.
+    return _vigenere(message, key_letters[:needed], Alphabet.TURKISH29, sign)
 
 
 def vernam_encrypt(message: str, key: str) -> str:

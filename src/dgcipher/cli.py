@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator, TextIO
 
-from .analysis import build_reference_table, crack_shift, flatness_report, letter_frequencies
+from .analysis import build_reference_table, crack_shift, flatness_report
 from .cascade import transform_stream
 from .classical import (
     Alphabet,
@@ -128,7 +128,8 @@ def _resolve_keyset(name: str):
         return parse_keyset(handle.read())
 
 
-def _reference_from(path: str):
+def _letter_table(path: str | None):
+    """Letter counts of a UTF-8 file (or stdin), read in chunks."""
     with _text_in(path) as handle:
         return build_reference_table(_read_chunks(handle))
 
@@ -216,8 +217,7 @@ def _cmd_classical(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    with _text_in(args.infile) as source:
-        table = letter_frequencies(source.read())
+    table = _letter_table(args.infile)
     if args.format == "records":
         lines = [
             f"{letter}\t{table.counts[letter]}\t{table.frequency(letter):.6f}"
@@ -234,7 +234,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_crack(args: argparse.Namespace) -> int:
-    reference = _reference_from(args.reference)
+    reference = _letter_table(args.reference)
     with _text_in(args.infile) as source:
         text = source.read()
     guess = crack_shift(text, reference, min_letters=args.min_letters)
@@ -252,7 +252,7 @@ def _cmd_crack(args: argparse.Namespace) -> int:
 
 def _cmd_flatness(args: argparse.Namespace) -> int:
     keyset = _resolve_keyset(args.key)
-    reference = _reference_from(args.reference)
+    reference = _letter_table(args.reference)
     with _text_in(args.infile) as source:
         text = source.read()
     report = flatness_report(text, keyset, reference, mode=IndexMode(args.index_mode))

@@ -15,7 +15,8 @@ Key files use a small line format:
 
 The header line comes first; comment lines start with '#'; the seven rows
 follow in the fixed order G1S1, G1S2, G1S3, G2S1, G2S2, G2S3, FINAL. Row
-letters may be separated by single spaces. Serialization is byte stable:
+letters may be separated by any number of spaces (not tabs); the spaces
+are dropped before the row is validated. Serialization is byte stable:
 same keyset in, same bytes out, single newline endings, no trailing
 whitespace.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -133,6 +135,29 @@ class CascadeKeySet:
         alphabets = (*self.group1, *self.group2, self.final)
         return iter(zip(ROW_LABELS, alphabets))
 
+    @cached_property
+    def composite_rows(self) -> tuple[str, str]:
+        """Each group's whole pipeline as one image row, (GROUP1, GROUP2).
+
+        Entry j is the image of ALPHABET[j]: the letter pushed through the
+        group's three stages, then replaced by its cyclic predecessor in
+        the final row. Computed once per keyset, on first use.
+        """
+        final = self.final.letters
+        predecessor = str.maketrans(final, final[-1] + final[:-1])
+        rows = []
+        for stages in (self.group1, self.group2):
+            row = ALPHABET
+            for stage in stages:
+                row = row.translate(str.maketrans(ALPHABET, stage.letters))
+            rows.append(row.translate(predecessor))
+        return tuple(rows)
+
+    @cached_property
+    def inverse_rows(self) -> tuple[str, str]:
+        """The inverses of composite_rows: entry j is the preimage of ALPHABET[j]."""
+        return tuple(ALPHABET.translate(str.maketrans(row, ALPHABET)) for row in self.composite_rows)
+
 
 # The worked-example keyset bundled with the toolkit. The CLI accepts it
 # under the reserved key name "paper".
@@ -222,7 +247,7 @@ def parse_keyset(text: str) -> CascadeKeySet:
     """Parse a key file back into a keyset.
 
     Comment and blank lines are ignored. The seven rows must appear in
-    order; letters inside a row may be separated by single spaces.
+    order; letters inside a row may be separated by any number of spaces.
 
     Raises:
         BadHeader: first line is not the format header, or content follows

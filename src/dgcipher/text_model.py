@@ -13,13 +13,20 @@ dotless pair and İ/i the dotted pair, which is exactly where str.upper and
 str.lower go wrong. Only the 29 uppercase letters and their 29 exact
 lowercase forms count as letters; look-alikes from other scripts stay
 passthrough, so tokenize/render round-trips any string unchanged.
+
+Every letter-wise cipher in the package is a periodic substitution: the
+i-th letter (or character) goes through tables[i % p]. substitution_table
+builds one case-aware str.translate table and translate_periodic applies a
+tuple of them, so no cipher walks a message one character at a time.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NonCanonicalSymbol
 
@@ -29,6 +36,13 @@ ALPHABET_SIZE = len(ALPHABET)
 
 _INDEX = {letter: j for j, letter in enumerate(ALPHABET)}
 _LOWER_INDEX = {letter: j for j, letter in enumerate(LOWERCASE)}
+
+# Regex sources, compiled on first use by re's own cache so that importing
+# the package compiles no regex. LETTER_RUNS has one capturing group, so
+# re.split keeps the runs at the odd indices of its result.
+LETTER_RUNS = f"([{ALPHABET}{LOWERCASE}]+)"
+_NON_LETTERS = f"[^{ALPHABET}{LOWERCASE}]+"
+_FOLD_UPPER = str.maketrans(LOWERCASE, ALPHABET)
 
 _UPPER_SPECIAL = {"i": "İ", "ı": "I"}
 _LOWER_SPECIAL = {"İ": "i", "I": "ı"}
@@ -42,6 +56,60 @@ def to_upper_tr(text: str) -> str:
 def to_lower_tr(text: str) -> str:
     """Lowercase a string with the Turkish i rules (İ -> i, I -> ı)."""
     return "".join(_LOWER_SPECIAL.get(c, c.lower()) for c in text)
+
+
+def canonical_letters(text: str) -> str:
+    """The letters of a text in canonical uppercase, passthrough dropped."""
+    return re.sub(_NON_LETTERS, "", text).translate(_FOLD_UPPER)
+
+
+def substitution_table(
+    source: str, image: str, lower: Callable[[str], str] = to_lower_tr
+) -> dict[int, int]:
+    """Build a case-aware str.translate table sending source[j] to image[j].
+
+    Both rows hold uppercase letters. The table also sends the lowercase
+    form of source[j] to the lowercase form of image[j], with lowercase
+    forms taken by `lower`: the Turkish rules by default (I pairs with ı,
+    İ with i; str.lower would turn İ into two code points). Characters
+    outside the table pass through str.translate unchanged.
+    """
+    return str.maketrans(source + lower(source), image + lower(image))
+
+
+def translate_periodic(
+    text: str,
+    tables: Sequence[dict[int, int]],
+    phase: int = 0,
+    runs: str | None = None,
+) -> tuple[str, int]:
+    """Send the i-th counted character of text through tables[(phase + i) % p].
+
+    With runs None every character is counted. With a regex (one capturing
+    group, such as LETTER_RUNS) only the characters inside its matches are
+    counted and translated; everything between them is copied verbatim.
+
+    Returns the output and the phase for the text that follows, so a
+    stream translated chunk by chunk equals the whole text translated once.
+    """
+    period = len(tables)
+    if runs is None:
+        return _strided(text, tables, phase), (phase + len(text)) % period
+    parts = re.split(runs, text)
+    letters = "".join(parts[1::2])
+    mapped = _strided(letters, tables, phase)
+    ends = list(accumulate(map(len, parts[1::2])))
+    parts[1::2] = [mapped[start:end] for start, end in zip([0, *ends], ends)]
+    return "".join(parts), (phase + len(letters)) % period
+
+
+def _strided(text: str, tables: Sequence[dict[int, int]], phase: int) -> str:
+    # Characters r, r + p, r + 2p, ... share a table: one translate each.
+    period = len(tables)
+    out = list(text)
+    for r in range(min(period, len(text))):
+        out[r::period] = text[r::period].translate(tables[(phase + r) % period])
+    return "".join(out)
 
 
 def letter_index(letter: str) -> int:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dgcipher import (
@@ -10,6 +12,7 @@ from dgcipher import (
     EmptyText,
     FrequencyTable,
     IndexMode,
+    SubstitutionGuess,
     TooShort,
     atbash,
     build_reference_table,
@@ -29,6 +32,59 @@ FREQ_SENTENCE = "Akif kasaba gitti ve et aldı."
 lettered_texts = st.text(
     alphabet=st.sampled_from(ALPHABET + LOWERCASE + " ,.!"), max_size=200
 ).filter(lambda s: any(c in ALPHABET + LOWERCASE for c in s))
+# Dotless and dotted i, and look-alikes of letters: long s (str.upper
+# gives S), Kelvin sign (str.lower gives k) and Cyrillic a.
+TRICKY = "ıİiIſ\u212aаsSkK"
+tricky_texts = st.text(
+    alphabet=st.characters() | st.sampled_from(ALPHABET + LOWERCASE + TRICKY), max_size=60
+)
+
+
+def per_char_counts(text: str) -> dict[str, int]:
+    """Reference letter count, one character at a time."""
+    counts = dict.fromkeys(ALPHABET, 0)
+    for ch in text:
+        if ch in ALPHABET:
+            counts[ch] += 1
+        elif ch in LOWERCASE:
+            counts[ALPHABET[LOWERCASE.index(ch)]] += 1
+    return counts
+
+
+def per_char_apply(text: str, mapping: dict[str, str]) -> str:
+    """Reference rank-match rewrite, one character at a time."""
+    out = []
+    for ch in text:
+        if ch in ALPHABET:
+            out.append(mapping[ch])
+        elif ch in LOWERCASE:
+            out.append(LOWERCASE[ALPHABET.index(mapping[ALPHABET[LOWERCASE.index(ch)]])])
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+class TestPerCharEquivalence:
+    @given(tricky_texts)
+    @example(TRICKY)
+    def test_letter_frequencies(self, text: str):
+        counts = per_char_counts(text)
+        if not any(counts.values()):
+            with pytest.raises(EmptyText):
+                letter_frequencies(text)
+            return
+        table = letter_frequencies(text)
+        assert dict(table.counts) == counts
+        assert table.total_letters == sum(counts.values())
+        assert build_reference_table([text[:7], "", text[7:]]) == table
+
+    @given(tricky_texts, st.integers(min_value=0, max_value=2**32))
+    @example(TRICKY, 0)
+    def test_substitution_guess_apply(self, text: str, seed: int):
+        images = list(ALPHABET)
+        random.Random(seed).shuffle(images)
+        mapping = dict(zip(ALPHABET, images))
+        assert SubstitutionGuess(mapping).apply(text) == per_char_apply(text, mapping)
 
 
 class TestLetterFrequencies:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracle_table_walk as oracle
@@ -27,6 +27,39 @@ LETTER_CHARS = ALPHABET + LOWERCASE
 MESSAGE_CHARS = LETTER_CHARS + " .,!?0123456789\n"
 
 messages = st.text(alphabet=st.sampled_from(MESSAGE_CHARS), max_size=80)
+# Any Unicode, with letters and look-alikes of letters (long s, Kelvin
+# sign, Cyrillic a) drawn often.
+letter_heavy = st.text(
+    alphabet=st.characters() | st.sampled_from(LETTER_CHARS + "ſ\u212aаİ "), max_size=80
+)
+
+# A strict table walk over the oracle's tables: only the 58 exact letter
+# forms are letters. oracle.encrypt itself uppercases with str.upper, which
+# turns U+017F (long s) into S, so it is not used as the reference here.
+STRICT_UPPER = {oracle.lower(c): c for c in oracle.ABC}
+STRICT_UPPER.update({c: c for c in oracle.ABC})
+UNWALK = {
+    rows_id: {oracle.walk(c, rows): c for c in oracle.ABC}
+    for rows_id, rows in ((1, oracle.G1), (2, oracle.G2))
+}
+
+
+def strict_walk(text: str, letters_only: bool, decrypt: bool = False) -> str:
+    out, seen_letters = [], 0
+    for position, ch in enumerate(text):
+        up = STRICT_UPPER.get(ch)
+        if up is None:
+            out.append(ch)
+            continue
+        index = seen_letters if letters_only else position
+        group = 1 if (index + 1) % 2 else 2
+        if decrypt:
+            image = UNWALK[group][up]
+        else:
+            image = oracle.walk(up, oracle.G1 if group == 1 else oracle.G2)
+        out.append(image if ch == up else oracle.lower(image))
+        seen_letters += 1
+    return "".join(out)
 
 
 def identity_keyset() -> CascadeKeySet:
@@ -140,6 +173,31 @@ class TestOracleAgreement:
             )
 
 
+class TestStrictTableWalk:
+    def check(self, text: str) -> None:
+        keyset = example_keyset()
+        for mode in IndexMode:
+            letters_only = mode is IndexMode.LETTERS_ONLY
+            assert encrypt_message(text, keyset, mode) == strict_walk(text, letters_only)
+            assert decrypt_message(text, keyset, mode) == strict_walk(text, letters_only, True)
+
+    @given(st.text())
+    def test_any_text(self, text: str):
+        self.check(text)
+
+    @given(letter_heavy)
+    def test_letter_heavy_text(self, text: str):
+        self.check(text)
+
+    def test_long_s_passes_through(self, keyset: CascadeKeySet):
+        for mode in IndexMode:
+            assert encrypt_message("ſ", keyset, mode) == "ſ"
+            letters_only = mode is IndexMode.LETTERS_ONLY
+            assert encrypt_message("aſa", keyset, mode) == strict_walk("aſa", letters_only)
+        # The loose oracle disagrees: str.upper folds the long s into S.
+        assert oracle.encrypt("ſ") != "ſ"
+
+
 class TestRoundTrip:
     @given(messages, st.integers(min_value=0, max_value=2**32))
     def test_decrypt_recovers_message(self, message: str, seed: int):
@@ -158,14 +216,24 @@ class TestRoundTrip:
 
 
 class TestStreaming:
-    def test_chunking_does_not_change_output(self, keyset: CascadeKeySet):
-        message = "Gazi Üniversitesi Mikroişlemci 2024!"
-        whole = "".join(transform_stream([message], keyset))
-        rng = random.Random(7)
-        for _ in range(25):
-            cuts = sorted(rng.sample(range(len(message) + 1), rng.randrange(1, 6)))
-            pieces = [message[a:b] for a, b in zip([0] + cuts, cuts + [len(message)])]
-            assert "".join(transform_stream(pieces, keyset)) == whole
+    @given(
+        st.text(alphabet=st.sampled_from(MESSAGE_CHARS + "ſ"), max_size=60),
+        st.lists(st.integers(min_value=0, max_value=60), max_size=8),
+        st.sampled_from(IndexMode),
+        st.booleans(),
+    )
+    # Cuts inside a letter run, inside a passthrough run, an empty chunk
+    # (repeated cut) and odd-length chunks.
+    @example("Gazi  Üniversitesi!! 2024", [2, 5, 5, 12, 19, 20], IndexMode.LETTERS_ONLY, False)
+    @example("Gazi  Üniversitesi!! 2024", [1, 4, 5, 5, 19], IndexMode.ALL_CHARS, True)
+    def test_chunking_does_not_change_output(
+        self, message: str, cuts: list[int], mode: IndexMode, decrypt: bool
+    ):
+        keyset = example_keyset()
+        cuts = sorted(min(c, len(message)) for c in cuts)
+        pieces = [message[a:b] for a, b in zip([0, *cuts], [*cuts, len(message)])]
+        whole = "".join(transform_stream([message], keyset, mode, decrypt=decrypt))
+        assert "".join(transform_stream(pieces, keyset, mode, decrypt=decrypt)) == whole
 
     def test_decrypt_stream(self, keyset: CascadeKeySet):
         message = "akış halinde çözülür"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import string
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dgcipher import (
@@ -61,6 +63,72 @@ SENTENCE = "Gazi Üniversitesi Teknoloji Fakültesi Mikroişlemciler dersi"
 
 def canon_letters(message: str) -> str:
     return "".join(u.letter for u in tokenize(message) if isinstance(u, LetterUnit))
+
+
+TURKISH = (ALPHABET, LOWERCASE)
+ENGLISH = (string.ascii_uppercase, string.ascii_lowercase)
+# Dotless and dotted i, and look-alikes of letters: long s (str.upper
+# gives S), Kelvin sign (str.lower gives k) and Cyrillic a.
+TRICKY = "ıİiIſ\u212aаsSkK"
+tricky_texts = st.text(
+    alphabet=st.characters() | st.sampled_from(LETTER_CHARS + string.ascii_letters + TRICKY),
+    max_size=40,
+)
+
+
+def per_letter(message: str, image_index, alphabet: tuple[str, str] = TURKISH) -> str:
+    """Reference substitution, one character at a time: the i-th letter,
+    at index j of its case's row, becomes the letter at image_index(i, j)
+    of the same row; everything else is copied."""
+    out, i = [], 0
+    for ch in message:
+        row = next((r for r in alphabet if ch in r), None)
+        if row is None:
+            out.append(ch)
+            continue
+        out.append(row[image_index(i, row.index(ch))])
+        i += 1
+    return "".join(out)
+
+
+class TestPerLetterEquivalence:
+    @given(tricky_texts, st.integers(min_value=0, max_value=28))
+    @example(TRICKY, 3)
+    def test_shift(self, message: str, k: int):
+        assert shift_encrypt(message, k) == per_letter(message, lambda i, j: (j + k) % 29)
+        assert shift_decrypt(message, k) == per_letter(message, lambda i, j: (j - k) % 29)
+
+    @given(tricky_texts)
+    @example(TRICKY)
+    def test_atbash(self, message: str):
+        assert atbash(message) == per_letter(message, lambda i, j: 28 - j)
+
+    @given(
+        tricky_texts,
+        st.sampled_from([TURKISH, ENGLISH]),
+        st.lists(st.integers(min_value=0, max_value=28), min_size=1, max_size=60),
+    )
+    @example(TRICKY, TURKISH, [5] * 7)  # one repeated key letter
+    @example(TRICKY, ENGLISH, list(range(26)) * 2)  # key longer than the text
+    @example("a" + TRICKY + "b", TURKISH, list(range(29)) * 2)
+    def test_vigenere(self, message: str, alphabet: tuple[str, str], shifts: list[int]):
+        upper, _ = alphabet
+        n = len(upper)
+        key = "".join(upper[k % n] for k in shifts)
+        which = Alphabet.TURKISH29 if alphabet is TURKISH else Alphabet.ENGLISH26
+
+        def shifted(sign: int):
+            return lambda i, j: (j + sign * upper.index(key[i % len(key)])) % n
+
+        assert vigenere_encrypt(message, key, which) == per_letter(message, shifted(+1), alphabet)
+        assert vigenere_decrypt(message, key, which) == per_letter(message, shifted(-1), alphabet)
+
+    @given(tricky_texts, st.integers(min_value=0, max_value=2**32))
+    @example(TRICKY, 0)
+    def test_vernam(self, message: str, seed: int):
+        key = otp_keygen(len(message) + 3, seed)
+        want = per_letter(message, lambda i, j: (j + ALPHABET.index(key[i])) % 29)
+        assert vernam_encrypt(message, key) == want
 
 
 class TestShift:

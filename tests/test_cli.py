@@ -4,7 +4,14 @@ import pathlib
 import subprocess
 import sys
 
-from dgcipher import generate_keyset, parse_keyset, serialize_keyset, shift_encrypt
+from dgcipher import (
+    ALPHABET,
+    LOWERCASE,
+    generate_keyset,
+    parse_keyset,
+    serialize_keyset,
+    shift_encrypt,
+)
 
 CMD = [sys.executable, "-m", "dgcipher.cli"]
 
@@ -276,6 +283,21 @@ class TestAnalysisCommands:
     def test_analyze_without_letters_is_a_data_error(self):
         code, _, err = run("analyze", stdin=b"123")
         assert code == 2
+        assert b"EmptyText" in err
+
+    def test_analyze_streams_input_longer_than_one_chunk(self, corpus_text: str):
+        text = (corpus_text * 40)[: 3 * 65536 + 11]
+        counts = {c: text.count(c) + text.count(l) for c, l in zip(ALPHABET, LOWERCASE)}
+        total = sum(counts.values())
+        want = [f"letters: {total}"] + [
+            f"{c}  {n:>8}  {n / total:.6f}" for c, n in counts.items()
+        ]
+        code, out, err = run("analyze", stdin=text.encode())
+        assert (code, err) == (0, b"")
+        assert out.decode() == "\n".join(want) + "\n"
+
+        code, out, err = run("analyze", stdin=b"1234 " * 20000)
+        assert (code, out) == (2, b"")
         assert b"EmptyText" in err
 
     def test_crack_recovers_shift(self, corpus_path: pathlib.Path, corpus_text: str):

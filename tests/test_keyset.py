@@ -170,6 +170,14 @@ class TestSerialization:
             for line in EXAMPLE_TEXT.splitlines()
         ) + "\n"
         assert parse_keyset(spaced) == keyset
+        # Any run of spaces between letters is accepted, not just one.
+        irregular = EXAMPLE_TEXT.replace(": ", ":   ").replace("Ç", "  Ç ").replace("M", "M   ")
+        assert parse_keyset(irregular) == keyset
+
+    def test_parse_rejects_tabs_inside_a_row(self):
+        # A tab is kept as a character of the row, so the row is too long.
+        with pytest.raises(WrongLength, match="G1S1"):
+            parse_keyset(EXAMPLE_TEXT.replace("BSY", "B\tSY"))
 
     def test_parse_skips_blank_and_comment_lines(self, keyset: CascadeKeySet):
         lines = EXAMPLE_TEXT.splitlines()
