@@ -3,190 +3,131 @@
 The package bundles one period-two polyalphabetic substitution cipher (the
 cascade), eight classical ciphers adapted to the 29-letter Turkish
 alphabet, letter frequency analysis tools, and a command line front end.
+
+Every public name is importable from the package, but its module is only
+loaded when the name is first used (PEP 562), so a CLI call pays for the
+modules its subcommand runs and no more. For the same reason the records
+are NamedTuples or small plain classes: `dataclasses` imports `inspect`,
+which would add several milliseconds to every call.
 """
 
-from .analysis import (
-    FlatnessReport,
-    FrequencyTable,
-    ShiftGuess,
-    SubstitutionGuess,
-    build_reference_table,
-    chi_squared_distance,
-    crack_shift,
-    flatness_report,
-    letter_frequencies,
-    rank_match_attack,
-)
-from .cascade import (
-    composite_table,
-    decrypt_letter,
-    decrypt_message,
-    encrypt_letter,
-    encrypt_message,
-    transform_stream,
-)
-from .classical import (
-    Alphabet,
-    PlayfairSpec,
-    PlayfairTable,
-    PolybiusSpec,
-    atbash,
-    canonical_grid,
-    otp_keygen,
-    playfair_build,
-    playfair_decrypt,
-    playfair_encrypt,
-    polybius_decode,
-    polybius_encode,
-    rail_fence_decrypt,
-    rail_fence_encrypt,
-    scytale_decrypt,
-    scytale_encrypt,
-    shift_decrypt,
-    shift_encrypt,
-    vernam_decrypt,
-    vernam_encrypt,
-    vigenere_decrypt,
-    vigenere_encrypt,
-)
-from .errors import (
-    BadHeader,
-    CipherError,
-    CircumferenceOutOfRange,
-    DuplicateGridLetter,
-    DuplicateLetter,
-    EmptyKey,
-    EmptyKeyword,
-    EmptyText,
-    GridTooLarge,
-    KeyLetterOutsideAlphabet,
-    KeyTooShort,
-    LetterNotInGrid,
-    MalformedDigitPair,
-    MissingRow,
-    NonCanonicalSymbol,
-    OddLengthCiphertext,
-    PaddingInSameCellAsNeighbor,
-    RailsOutOfRange,
-    SeedOutOfRange,
-    ShiftOutOfRange,
-    TooShort,
-    WrongLength,
-)
-from .keyset import (
-    CascadeKeySet,
-    SubstitutionAlphabet,
-    example_keyset,
-    generate_keyset,
-    keyspace_size,
-    parse_keyset,
-    serialize_keyset,
-    validate_alphabet,
-)
-from .text_model import (
-    ALPHABET,
-    ALPHABET_SIZE,
-    LOWERCASE,
-    Group,
-    IndexMode,
-    LetterUnit,
-    MessageUnit,
-    Passthrough,
-    group_for_position,
-    letter_at,
-    letter_index,
-    render,
-    to_canonical,
-    to_lower_tr,
-    to_upper_tr,
-    tokenize,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHABET",
-    "ALPHABET_SIZE",
-    "LOWERCASE",
-    "Alphabet",
-    "BadHeader",
-    "CascadeKeySet",
-    "CipherError",
-    "CircumferenceOutOfRange",
-    "DuplicateGridLetter",
-    "DuplicateLetter",
-    "EmptyKey",
-    "EmptyKeyword",
-    "EmptyText",
-    "FlatnessReport",
-    "FrequencyTable",
-    "GridTooLarge",
-    "Group",
-    "IndexMode",
-    "KeyLetterOutsideAlphabet",
-    "KeyTooShort",
-    "LetterNotInGrid",
-    "LetterUnit",
-    "MalformedDigitPair",
-    "MessageUnit",
-    "MissingRow",
-    "NonCanonicalSymbol",
-    "OddLengthCiphertext",
-    "PaddingInSameCellAsNeighbor",
-    "Passthrough",
-    "PlayfairSpec",
-    "PlayfairTable",
-    "PolybiusSpec",
-    "RailsOutOfRange",
-    "SeedOutOfRange",
-    "ShiftGuess",
-    "ShiftOutOfRange",
-    "SubstitutionAlphabet",
-    "SubstitutionGuess",
-    "TooShort",
-    "WrongLength",
-    "atbash",
-    "build_reference_table",
-    "canonical_grid",
-    "chi_squared_distance",
-    "composite_table",
-    "crack_shift",
-    "decrypt_letter",
-    "decrypt_message",
-    "encrypt_letter",
-    "encrypt_message",
-    "example_keyset",
-    "flatness_report",
-    "generate_keyset",
-    "group_for_position",
-    "keyspace_size",
-    "letter_at",
-    "letter_frequencies",
-    "letter_index",
-    "otp_keygen",
-    "parse_keyset",
-    "playfair_build",
-    "playfair_decrypt",
-    "playfair_encrypt",
-    "polybius_decode",
-    "polybius_encode",
-    "rail_fence_decrypt",
-    "rail_fence_encrypt",
-    "rank_match_attack",
-    "render",
-    "scytale_decrypt",
-    "scytale_encrypt",
-    "serialize_keyset",
-    "shift_decrypt",
-    "shift_encrypt",
-    "to_canonical",
-    "to_lower_tr",
-    "to_upper_tr",
-    "tokenize",
-    "transform_stream",
-    "validate_alphabet",
-    "vernam_decrypt",
-    "vernam_encrypt",
-    "vigenere_decrypt",
-    "vigenere_encrypt",
-]
+_EXPORTS = {
+    "analysis": (
+        "FlatnessReport",
+        "FrequencyTable",
+        "ShiftGuess",
+        "SubstitutionGuess",
+        "build_reference_table",
+        "chi_squared_distance",
+        "crack_shift",
+        "flatness_report",
+        "letter_frequencies",
+        "rank_match_attack",
+    ),
+    "cascade": (
+        "composite_table",
+        "decrypt_letter",
+        "decrypt_message",
+        "encrypt_letter",
+        "encrypt_message",
+        "transform_stream",
+    ),
+    "classical": (
+        "PlayfairSpec",
+        "PlayfairTable",
+        "PolybiusSpec",
+        "atbash",
+        "canonical_grid",
+        "otp_keygen",
+        "playfair_build",
+        "playfair_decrypt",
+        "playfair_encrypt",
+        "polybius_decode",
+        "polybius_encode",
+        "rail_fence_decrypt",
+        "rail_fence_encrypt",
+        "scytale_decrypt",
+        "scytale_encrypt",
+        "shift_decrypt",
+        "shift_encrypt",
+        "vernam_decrypt",
+        "vernam_encrypt",
+        "vigenere_decrypt",
+        "vigenere_encrypt",
+    ),
+    "errors": (
+        "BadHeader",
+        "CipherError",
+        "CircumferenceOutOfRange",
+        "DuplicateGridLetter",
+        "DuplicateLetter",
+        "EmptyKey",
+        "EmptyKeyword",
+        "EmptyText",
+        "GridTooLarge",
+        "KeyLetterOutsideAlphabet",
+        "KeyTooShort",
+        "LetterNotInGrid",
+        "MalformedDigitPair",
+        "MissingRow",
+        "NonCanonicalSymbol",
+        "OddLengthCiphertext",
+        "PaddingInSameCellAsNeighbor",
+        "RailsOutOfRange",
+        "SeedOutOfRange",
+        "ShiftOutOfRange",
+        "TooShort",
+        "WrongLength",
+    ),
+    "keyset": (
+        "CascadeKeySet",
+        "SubstitutionAlphabet",
+        "example_keyset",
+        "generate_keyset",
+        "keyspace_size",
+        "parse_keyset",
+        "serialize_keyset",
+        "validate_alphabet",
+    ),
+    "text_model": (
+        "ALPHABET",
+        "ALPHABET_SIZE",
+        "Alphabet",
+        "LOWERCASE",
+        "Group",
+        "IndexMode",
+        "LetterUnit",
+        "MessageUnit",
+        "Passthrough",
+        "group_for_position",
+        "letter_at",
+        "letter_index",
+        "render",
+        "to_canonical",
+        "to_lower_tr",
+        "to_upper_tr",
+        "tokenize",
+    ),
+}
+# Public name -> the submodule that defines it.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,14 +10,10 @@ build one from a corpus with build_reference_table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import eq
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .cascade import encrypt_message
-from .classical import shift_encrypt
 from .errors import EmptyText, TooShort
-from .keyset import CascadeKeySet
 from .text_model import (
     ALPHABET,
     ALPHABET_SIZE,
@@ -27,11 +23,13 @@ from .text_model import (
     substitution_table,
 )
 
+if TYPE_CHECKING:
+    from .keyset import CascadeKeySet
+
 CHI_SQUARED_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     """Letter counts over a text; every canonical letter has an entry.
 
     Frequencies are derived from the integer counts on demand, so tables
@@ -85,8 +83,7 @@ def build_reference_table(chunks: Iterable[str]) -> FrequencyTable:
     return _table_from_counts(counts)
 
 
-@dataclass(frozen=True)
-class SubstitutionGuess:
+class SubstitutionGuess(NamedTuple):
     """A guessed ciphertext-to-plaintext letter map from rank matching."""
 
     mapping: Mapping[str, str]
@@ -125,8 +122,7 @@ def chi_squared_distance(observed: FrequencyTable, expected: FrequencyTable) -> 
     return total
 
 
-@dataclass(frozen=True)
-class ShiftGuess:
+class ShiftGuess(NamedTuple):
     """Result of crack_shift: the best shift and its score context."""
 
     shift: int
@@ -167,8 +163,7 @@ def crack_shift(
     )
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     """Side-by-side profile of a plaintext, its shift image, and its cascade image."""
 
     total_letters: int
@@ -255,6 +250,10 @@ def flatness_report(
         TooShort: fewer than min_letters letters of plaintext.
         EmptyText: no letters at all.
     """
+    # Imported here so that analyze and crack load no cipher module.
+    from .cascade import encrypt_message
+    from .classical import shift_encrypt
+
     plain_table = letter_frequencies(plaintext)
     if plain_table.total_letters < min_letters:
         raise TooShort(

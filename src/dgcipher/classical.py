@@ -10,10 +10,8 @@ discards the original spacing.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
-from enum import Enum
 from math import ceil
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     CircumferenceOutOfRange,
@@ -37,6 +35,7 @@ from .text_model import (
     ALPHABET,
     ALPHABET_SIZE,
     LETTER_RUNS,
+    Alphabet,
     LetterUnit,
     canonical_letters,
     substitution_table,
@@ -79,13 +78,6 @@ def atbash(message: str) -> str:
 
 
 # --- vigenere (running key) ---
-
-class Alphabet(Enum):
-    """Working alphabet for the running-key cipher."""
-
-    ENGLISH26 = "english26"
-    TURKISH29 = "turkish29"
-
 
 def _classify(char: str, alphabet: Alphabet) -> LetterUnit | None:
     """Canonical letter of char in the chosen alphabet, or None.
@@ -165,8 +157,7 @@ _CELLS_CANONICAL = tuple(
 )
 
 
-@dataclass(frozen=True)
-class PlayfairSpec:
+class PlayfairSpec(NamedTuple):
     """Parameters for the digram cipher: a keyword and a padding letter."""
 
     keyword: str
@@ -275,30 +266,34 @@ def playfair_decrypt(message: str, spec: PlayfairSpec) -> str:
 _DIGITS = "0123456789"
 
 
-@dataclass(frozen=True)
-class PolybiusSpec:
-    """A rows x cols letter grid, row-major, short last row allowed."""
+class _PolybiusGrid(NamedTuple):
+    """The fields of PolybiusSpec, which checks them on construction."""
 
     rows: int
     cols: int
     grid: str
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise WrongLength(f"grid needs positive dimensions: {self.rows}x{self.cols}")
-        if self.rows > 9 or self.cols > 9:
+
+class PolybiusSpec(_PolybiusGrid):
+    """A rows x cols letter grid, row-major, short last row allowed."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, grid: str) -> PolybiusSpec:
+        if rows < 1 or cols < 1:
+            raise WrongLength(f"grid needs positive dimensions: {rows}x{cols}")
+        if rows > 9 or cols > 9:
             raise GridTooLarge("digit pairs cannot address rows or columns past 9")
         seen: set[str] = set()
-        for letter in self.grid:
+        for letter in grid:
             if letter not in ALPHABET:
                 raise NonCanonicalSymbol(f"not a canonical letter: {letter!r}")
             if letter in seen:
                 raise DuplicateGridLetter(f"letter {letter} appears twice in the grid")
             seen.add(letter)
-        if not (self.rows - 1) * self.cols < len(self.grid) <= self.rows * self.cols:
-            raise WrongLength(
-                f"{len(self.grid)} letters do not fill {self.rows} rows of {self.cols}"
-            )
+        if not (rows - 1) * cols < len(grid) <= rows * cols:
+            raise WrongLength(f"{len(grid)} letters do not fill {rows} rows of {cols}")
+        return super().__new__(cls, rows, cols, grid)
 
 
 def canonical_grid() -> PolybiusSpec:

@@ -1,49 +1,36 @@
 """Command line interface for the toolkit.
 
 Exit codes: 0 on success, 1 on usage errors (unknown commands or flags,
-malformed flag values), 2 on data errors (unreadable files, invalid UTF-8,
-malformed keys or ciphertext). Transformed payload goes to stdout or the
---out file only; warnings and verbose notes go to stderr.
+malformed flag values, --in and --out naming one file), 2 on data errors
+(unreadable files, invalid UTF-8, malformed keys or ciphertext).
+Transformed payload goes to stdout or the --out file only; warnings and
+verbose notes go to stderr. An --out file is replaced only when the
+command succeeds; after a failure it is as it was.
 
 All text I/O is strict UTF-8 with no newline translation, so piping
-encrypt into decrypt reproduces the input byte for byte.
+encrypt into decrypt reproduces the input byte for byte. Invalid UTF-8 is
+reported with the input's name and the absolute offset of the bad byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import io
+import os
+import stat
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, TextIO
 
-from .analysis import build_reference_table, crack_shift, flatness_report
-from .cascade import transform_stream
-from .classical import (
-    Alphabet,
-    PlayfairSpec,
-    PolybiusSpec,
-    atbash,
-    canonical_grid,
-    otp_keygen,
-    playfair_decrypt,
-    playfair_encrypt,
-    polybius_decode,
-    polybius_encode,
-    rail_fence_decrypt,
-    rail_fence_encrypt,
-    scytale_decrypt,
-    scytale_encrypt,
-    shift_decrypt,
-    shift_encrypt,
-    vernam_decrypt,
-    vernam_encrypt,
-    vigenere_decrypt,
-    vigenere_encrypt,
-)
 from .errors import CipherError
-from .keyset import RNG_NAME, example_keyset, generate_keyset, parse_keyset, serialize_keyset
-from .text_model import ALPHABET, IndexMode
+from .text_model import ALPHABET, Alphabet, IndexMode
+
+if TYPE_CHECKING:
+    from .classical import PolybiusSpec
+
+# Only errors and text_model load with the CLI. Each handler imports the
+# modules it runs, so a call spends start-up time on those alone.
 
 _CHUNK_SIZE = 1 << 16
 _PAPER_KEY_NAME = "paper"
@@ -56,6 +43,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _BadUtf8(Exception):
+    """An input is not valid UTF-8; the message names it and the byte offset."""
 
 
 def _seed_value(text: str) -> int:
@@ -78,23 +69,47 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-@contextmanager
-def _text_in(path: str | None) -> Iterator[TextIO]:
-    """Open a UTF-8 input; '-' or no path reads stdin. No newline translation."""
-    if path in (None, "-"):
-        wrapper = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="strict", newline="")
+def _decode_chunks(stream: BinaryIO, name: str) -> Iterator[str]:
+    """Decode a byte stream as strict UTF-8, chunk by chunk, with no newline
+    translation. A sequence split across two reads is carried over."""
+    offset, pending = 0, b""
+    while True:
+        data = stream.read(_CHUNK_SIZE)
+        buffered = pending + data
         try:
-            yield wrapper
-        finally:
-            wrapper.detach()
+            text, used = codecs.utf_8_decode(buffered, "strict", not data)
+        except UnicodeDecodeError as err:
+            raise _BadUtf8(f"invalid UTF-8 in {name} at byte {offset + err.start}") from None
+        offset += used
+        pending = buffered[used:]
+        if text:
+            yield text
+        if not data:
+            return
+
+
+def _input_chunks(path: str | None) -> Iterator[str]:
+    """Decode a UTF-8 input in chunks; '-' or no path reads stdin."""
+    if path in (None, "-"):
+        yield from _decode_chunks(sys.stdin.buffer, "<stdin>")
     else:
-        with open(path, encoding="utf-8", errors="strict", newline="") as handle:
-            yield handle
+        with open(path, "rb") as handle:
+            yield from _decode_chunks(handle, path)
+
+
+def _read_file(path: str) -> str:
+    with open(path, "rb") as handle:
+        return "".join(_decode_chunks(handle, path))
 
 
 @contextmanager
 def _text_out(path: str | None) -> Iterator[TextIO]:
-    """Open a UTF-8 output; '-' or no path writes stdout."""
+    """Open a UTF-8 output; '-' or no path writes stdout.
+
+    A file is written under a temporary name in its own directory and
+    renamed over the target only when the command succeeds, so a failed
+    command leaves the target as it was. The target keeps its permissions.
+    """
     if path in (None, "-"):
         wrapper = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
         try:
@@ -102,17 +117,28 @@ def _text_out(path: str | None) -> Iterator[TextIO]:
             wrapper.flush()
         finally:
             wrapper.detach()
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        return
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        # A device or pipe cannot be renamed over; write it in place.
+        with open(target, "w", encoding="utf-8", newline="") as handle:
             yield handle
-
-
-def _read_chunks(handle: TextIO) -> Iterator[str]:
-    while True:
-        chunk = handle.read(_CHUNK_SIZE)
-        if not chunk:
-            return
-        yield chunk
+        return
+    temp = f"{target}.{os.getpid()}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _write_all(path: str | None, pieces: Iterable[str]) -> None:
@@ -121,37 +147,53 @@ def _write_all(path: str | None, pieces: Iterable[str]) -> None:
             out.write(piece)
 
 
+def _same_file(infile: str | None, outfile: str | None) -> bool:
+    if infile in (None, "-") or outfile in (None, "-"):
+        return False
+    try:
+        return os.path.samefile(infile, outfile)
+    except OSError:  # either file is missing: they cannot be one file
+        return False
+
+
 def _resolve_keyset(name: str):
+    from .keyset import example_keyset, parse_keyset
+
     if name == _PAPER_KEY_NAME:
         return example_keyset()
-    with open(name, encoding="utf-8", errors="strict", newline="") as handle:
-        return parse_keyset(handle.read())
+    return parse_keyset(_read_file(name))
 
 
 def _letter_table(path: str | None):
     """Letter counts of a UTF-8 file (or stdin), read in chunks."""
-    with _text_in(path) as handle:
-        return build_reference_table(_read_chunks(handle))
+    from .analysis import build_reference_table
+
+    return build_reference_table(_input_chunks(path))
 
 
 # --- command implementations ---
 
 def _cmd_cascade(args: argparse.Namespace, *, decrypt: bool) -> int:
+    from .cascade import transform_stream
+
     keyset = _resolve_keyset(args.key)
     mode = IndexMode(args.index_mode)
     if args.verbose:
         print(f"key: {args.key}", file=sys.stderr)
         print(f"index mode: {mode.value}", file=sys.stderr)
-    with _text_in(args.infile) as source:
-        _write_all(
-            args.outfile,
-            transform_stream(_read_chunks(source), keyset, mode, decrypt=decrypt),
-        )
+    _write_all(
+        args.outfile,
+        transform_stream(_input_chunks(args.infile), keyset, mode, decrypt=decrypt),
+    )
     return 0
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
+    from .keyset import RNG_NAME, generate_keyset, serialize_keyset
+
     if args.otp_length is not None:
+        from .classical import otp_keygen
+
         payload = otp_keygen(args.otp_length, args.seed) + "\n"
     else:
         payload = serialize_keyset(generate_keyset(args.seed), rng_name=RNG_NAME)
@@ -168,6 +210,8 @@ def _cmd_keycheck(args: argparse.Namespace) -> int:
 
 
 def _polybius_spec(args: argparse.Namespace, parser: _Parser) -> PolybiusSpec:
+    from .classical import PolybiusSpec, canonical_grid
+
     given = (args.grid, args.rows, args.cols)
     if all(v is None for v in given):
         return canonical_grid()
@@ -177,8 +221,26 @@ def _polybius_spec(args: argparse.Namespace, parser: _Parser) -> PolybiusSpec:
 
 
 def _cmd_classical(args: argparse.Namespace, parser: _Parser) -> int:
-    with _text_in(args.infile) as source:
-        text = source.read()
+    from .classical import (
+        PlayfairSpec,
+        atbash,
+        playfair_decrypt,
+        playfair_encrypt,
+        polybius_decode,
+        polybius_encode,
+        rail_fence_decrypt,
+        rail_fence_encrypt,
+        scytale_decrypt,
+        scytale_encrypt,
+        shift_decrypt,
+        shift_encrypt,
+        vernam_decrypt,
+        vernam_encrypt,
+        vigenere_decrypt,
+        vigenere_encrypt,
+    )
+
+    text = "".join(_input_chunks(args.infile))
     decrypt = args.decrypt
     cipher = args.cipher
     trailing = ""
@@ -205,11 +267,7 @@ def _cmd_classical(args: argparse.Namespace, parser: _Parser) -> int:
         result = op(text, args.circumference)
         trailing = "\n"
     else:  # vernam
-        if args.key_file is not None:
-            with open(args.key_file, encoding="utf-8", errors="strict", newline="") as handle:
-                key = handle.read()
-        else:
-            key = args.key
+        key = _read_file(args.key_file) if args.key_file is not None else args.key
         result = (vernam_decrypt if decrypt else vernam_encrypt)(text, key)
     # Letters-only ciphers drop the input's own newline, so add one back.
     _write_all(args.outfile, [result + (trailing if result else "")])
@@ -234,9 +292,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_crack(args: argparse.Namespace) -> int:
+    from .analysis import crack_shift
+
     reference = _letter_table(args.reference)
-    with _text_in(args.infile) as source:
-        text = source.read()
+    text = "".join(_input_chunks(args.infile))
     guess = crack_shift(text, reference, min_letters=args.min_letters)
     if guess.low_confidence:
         print(
@@ -251,10 +310,11 @@ def _cmd_crack(args: argparse.Namespace) -> int:
 
 
 def _cmd_flatness(args: argparse.Namespace) -> int:
+    from .analysis import flatness_report
+
     keyset = _resolve_keyset(args.key)
     reference = _letter_table(args.reference)
-    with _text_in(args.infile) as source:
-        text = source.read()
+    text = "".join(_input_chunks(args.infile))
     report = flatness_report(text, keyset, reference, mode=IndexMode(args.index_mode))
     rendered = report.render_records() if args.format == "records" else report.render_text()
     _write_all(args.outfile, [rendered])
@@ -390,13 +450,15 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if _same_file(args.infile, args.outfile):
+        parser.error(f"--in and --out name the same file: {args.outfile}")
     try:
         return args.handler(args, parser)
     except CipherError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
-    except UnicodeDecodeError as err:
-        print(f"error: invalid UTF-8: {err}", file=sys.stderr)
+    except _BadUtf8 as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)

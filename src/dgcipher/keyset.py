@@ -24,7 +24,6 @@ whitespace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -115,17 +114,43 @@ def validate_alphabet(letters: str | Iterable[str]) -> SubstitutionAlphabet:
     return SubstitutionAlphabet(letters)
 
 
-@dataclass(frozen=True)
 class CascadeKeySet:
-    """Seven alphabets: three stages per group plus the shared final one."""
+    """Seven alphabets: three stages per group plus the shared final one.
 
-    group1: tuple[SubstitutionAlphabet, SubstitutionAlphabet, SubstitutionAlphabet]
-    group2: tuple[SubstitutionAlphabet, SubstitutionAlphabet, SubstitutionAlphabet]
-    final: SubstitutionAlphabet
+    A value object: keysets with equal alphabets compare and hash equal,
+    and assigning or deleting an attribute raises AttributeError.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.group1) != 3 or len(self.group2) != 3:
+    def __init__(
+        self,
+        group1: tuple[SubstitutionAlphabet, SubstitutionAlphabet, SubstitutionAlphabet],
+        group2: tuple[SubstitutionAlphabet, SubstitutionAlphabet, SubstitutionAlphabet],
+        final: SubstitutionAlphabet,
+    ):
+        if len(group1) != 3 or len(group2) != 3:
             raise WrongLength("each group needs exactly 3 stage alphabets")
+        # Fields and the cached rows below live in __dict__, written past __setattr__.
+        vars(self).update(group1=group1, group2=group2, final=final)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to CascadeKeySet.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete CascadeKeySet.{name}")
+
+    def _alphabets(self) -> tuple:
+        return self.group1, self.group2, self.final
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CascadeKeySet):
+            return self._alphabets() == other._alphabets()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._alphabets())
+
+    def __repr__(self) -> str:
+        return f"CascadeKeySet(group1={self.group1!r}, group2={self.group2!r}, final={self.final!r})"
 
     def stages(self, group: Group) -> tuple[SubstitutionAlphabet, ...]:
         return self.group1 if group is Group.GROUP1 else self.group2

@@ -23,10 +23,9 @@ tuple of them, so no cipher walks a message one character at a time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import NonCanonicalSymbol
 
@@ -134,16 +133,14 @@ def letter_at(index: int) -> str:
     return ALPHABET[index]
 
 
-@dataclass(frozen=True)
-class LetterUnit:
+class LetterUnit(NamedTuple):
     """One enciphered position: a canonical letter plus its original case."""
 
     letter: str
     was_lowercase: bool
 
 
-@dataclass(frozen=True)
-class Passthrough:
+class Passthrough(NamedTuple):
     """One character that is copied through ciphers verbatim."""
 
     raw: str
@@ -182,6 +179,13 @@ class IndexMode(Enum):
 
     ALL_CHARS = "all-chars"
     LETTERS_ONLY = "letters-only"
+
+
+class Alphabet(Enum):
+    """Working alphabet for the running-key cipher (classical.vigenere_*)."""
+
+    ENGLISH26 = "english26"
+    TURKISH29 = "turkish29"
 
 
 class Group(Enum):

@@ -4,9 +4,13 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from dgcipher import (
     ALPHABET,
     LOWERCASE,
+    encrypt_message,
+    example_keyset,
     generate_keyset,
     parse_keyset,
     serialize_keyset,
@@ -100,6 +104,67 @@ class TestCascadeCommands:
         assert run("frobnicate")[0] == 1
         assert run("encrypt", stdin=b"AA")[0] == 1
         assert run("encrypt", "--key", "paper", "--index-mode", "words")[0] == 1
+
+
+class TestFileSafety:
+    def test_same_file_in_and_out_is_refused(self, tmp_path: pathlib.Path):
+        target = tmp_path / "f.txt"
+        target.write_bytes("Gazi Üniversitesi".encode())
+        # A second spelling of the same path is caught too.
+        code, out, err = run(
+            "encrypt", "--key", "paper", "--in", str(target),
+            "--out", str(tmp_path / "." / "f.txt"),
+        )
+        assert (code, out) == (1, b"")
+        assert b"same file" in err
+        assert target.read_bytes() == "Gazi Üniversitesi".encode()
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_run_leaves_no_partial_output(self, tmp_path: pathlib.Path, existing: bool):
+        source = tmp_path / "bad.txt"
+        source.write_bytes(b"Mikroislemci " * 20000 + b"\xff tail")
+        target = tmp_path / "out.txt"
+        if existing:
+            target.write_bytes(b"previous contents")
+        code, _, err = run("encrypt", "--key", "paper", "--in", str(source), "--out", str(target))
+        assert code == 2
+        assert b"invalid UTF-8" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["bad.txt", "out.txt"] if existing else ["bad.txt"]
+        )
+        if existing:
+            assert target.read_bytes() == b"previous contents"
+
+    def test_out_file_keeps_its_permissions_and_symlink(self, tmp_path: pathlib.Path):
+        source = tmp_path / "plain.txt"
+        source.write_text("Mikroişlemci", encoding="utf-8")
+        target = tmp_path / "cipher.txt"
+        target.write_bytes(b"old")
+        target.chmod(0o600)
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        code, _, _ = run("encrypt", "--key", "paper", "--in", str(source), "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == "Frpfgrçaaınr"
+        assert target.stat().st_mode & 0o777 == 0o600
+
+    def test_decode_error_names_the_input_and_absolute_offset(self, tmp_path: pathlib.Path):
+        source = tmp_path / "bad.txt"
+        source.write_bytes(b"a" * 200000 + b"\xff")
+        code, _, err = run("encrypt", "--key", "paper", "--in", str(source))
+        assert code == 2
+        assert f"invalid UTF-8 in {source} at byte 200000".encode() in err
+
+        # A two-byte letter cut by the 64 KiB read boundary is not an error;
+        # one cut by the end of the input is, at the offset where it starts.
+        text = "a" * 65535 + "ş" + "b" * 10
+        code, out, err = run("encrypt", "--key", "paper", stdin=text.encode())
+        assert (code, err) == (0, b"")
+        assert out.decode() == encrypt_message(text, example_keyset())
+        code, _, err = run("decrypt", "--key", "paper", stdin=text.encode()[:-11])
+        assert code == 2
+        assert b"invalid UTF-8 in <stdin> at byte 65535" in err
 
 
 class TestKeygen:

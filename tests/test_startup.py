@@ -1,0 +1,188 @@
+"""Start-up guard: a CLI call imports only the modules its subcommand runs.
+
+Each case runs the CLI in a child interpreter and compares the modules it
+ends with against those of a bare `python -c pass`, so only what the call
+itself added counts.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import dgcipher
+from dgcipher import (
+    CascadeKeySet,
+    FrequencyTable,
+    LetterUnit,
+    Passthrough,
+    PlayfairSpec,
+    PolybiusSpec,
+    ShiftGuess,
+    SubstitutionGuess,
+    canonical_grid,
+    example_keyset,
+    flatness_report,
+    generate_keyset,
+    letter_frequencies,
+    rank_match_attack,
+    serialize_keyset,
+)
+
+_MODULES = "import sys; sys.stdout.write(' '.join(sys.modules))"
+_CLI_THEN_MODULES = (
+    "import runpy, sys\n"
+    "sys.argv = ['dgcipher', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('dgcipher.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as done:\n"
+    "    if done.code:\n"
+    "        raise\n"
+    f"{_MODULES}\n"
+)
+# Children may run in another directory, so the package path must be absolute.
+_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(pathlib.Path(dgcipher.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    ),
+}
+_HEAVY = {"dgcipher.classical", "dgcipher.analysis", "dataclasses"}
+_NO_CIPHERS = {"dgcipher.cascade", "dgcipher.classical", "dataclasses"}
+
+
+def _modules(code: str, *args: str, cwd: pathlib.Path | None = None) -> set[str]:
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd, env=_ENV
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def bare() -> set[str]:
+    return _modules(_MODULES)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory: pytest.TempPathFactory, corpus_text: str) -> pathlib.Path:
+    root = tmp_path_factory.mktemp("startup")
+    (root / "msg.txt").write_text("Gazi Üniversitesi, Ankara.\n", encoding="utf-8")
+    (root / "corpus.txt").write_text(corpus_text, encoding="utf-8")
+    (root / "key.txt").write_text(serialize_keyset(generate_keyset(7)), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        ("encrypt --key paper --in msg.txt --out out.txt", _HEAVY),
+        ("encrypt --key key.txt --index-mode letters-only --in msg.txt --out out.txt", _HEAVY),
+        ("decrypt --key key.txt --in msg.txt --out out.txt", _HEAVY),
+        ("keycheck --key key.txt --out out.txt", _HEAVY),
+        ("keygen --seed 7 --out out.txt", _HEAVY),
+        ("analyze --in msg.txt --out out.txt", _NO_CIPHERS),
+        ("crack --reference corpus.txt --in msg.txt --out out.txt", _NO_CIPHERS),
+        ("flatness --key paper --reference corpus.txt --in corpus.txt --out out.txt", {"dataclasses"}),
+        ("classical vigenere --key anahtar --in msg.txt --out out.txt", {"dgcipher.analysis", "dataclasses"}),
+    ],
+)
+def test_cli_call_loads_only_what_it_runs(bare, workdir, argv: str, absent: set[str]):
+    added = _modules(_CLI_THEN_MODULES, *argv.split(), cwd=workdir) - bare
+    assert "dgcipher.text_model" in added
+    assert added & absent == set()
+
+
+def test_importing_the_package_loads_no_submodule(bare):
+    added = _modules(f"import dgcipher; {_MODULES}") - bare
+    assert {m for m in added if m.startswith("dgcipher.")} == set()
+
+
+class TestLazyPackage:
+    def test_every_public_name_resolves(self):
+        for name in dgcipher.__all__:
+            assert getattr(dgcipher, name) is not None
+        assert set(dgcipher.__all__) <= set(dir(dgcipher))
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from dgcipher import *", namespace)
+        assert set(dgcipher.__all__) <= set(namespace)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError):
+            dgcipher.no_such_name  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from dgcipher import no_such_name", {})
+
+
+def _records(reference):
+    """(make, fields, hashable) for each record type; make() builds a fresh equal value."""
+    plain = "Gazi Üniversitesi Mühendislik Fakültesi " * 30
+    return [
+        (lambda: LetterUnit("Ç", True), ("letter", "was_lowercase"), True),
+        (lambda: Passthrough("!"), ("raw",), True),
+        (example_keyset, ("group1", "group2", "final"), True),
+        (lambda: letter_frequencies(plain), ("counts", "total_letters"), False),
+        (lambda: rank_match_attack(plain, reference), ("mapping",), False),
+        (lambda: ShiftGuess(3, False, (0.5, 0.25)), ("shift", "low_confidence", "distances"), True),
+        (
+            lambda: flatness_report(plain, example_keyset(), reference, min_letters=10),
+            (
+                "total_letters", "shift_k", "index_mode", "plain_table", "shift_table",
+                "cascade_table", "shift_accuracy", "cascade_accuracy", "shift_chi_squared",
+                "cascade_chi_squared",
+            ),
+            False,
+        ),
+        (lambda: PlayfairSpec("KALEM"), ("keyword", "padding"), True),
+        (canonical_grid, ("rows", "cols", "grid"), True),
+    ]
+
+
+class TestRecords:
+    def test_value_semantics_and_immutability(self, reference):
+        for make, fields, hashable in _records(reference):
+            a, b = make(), make()
+            assert a == b and not a != b
+            assert a is not b
+            assert repr(a) == (
+                f"{type(a).__name__}("
+                + ", ".join(f"{f}={getattr(a, f)!r}" for f in fields)
+                + ")"
+            )
+            if hashable:
+                assert hash(a) == hash(b)
+            for field in (*fields, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(a, field, None)
+            assert a == b
+
+    def test_records_with_different_fields_differ(self):
+        assert LetterUnit("A", True) != LetterUnit("A", False)
+        assert generate_keyset(1) != generate_keyset(2)
+        assert PlayfairSpec("KALEM") != PlayfairSpec("KALEM", "X")
+        assert FrequencyTable({"A": 1}, 1) != FrequencyTable({"A": 2}, 2)
+        assert SubstitutionGuess({"A": "B"}) != SubstitutionGuess({"A": "C"})
+
+    def test_keyset_checks_group_length_and_caches_its_rows(self):
+        keyset = example_keyset()
+        with pytest.raises(dgcipher.WrongLength):
+            CascadeKeySet(group1=keyset.group1[:2], group2=keyset.group2, final=keyset.final)
+        assert keyset.composite_rows is keyset.composite_rows
+        assert keyset.inverse_rows is keyset.inverse_rows
+        for name in ("composite_rows", "inverse_rows", "group1"):
+            with pytest.raises(AttributeError):
+                setattr(keyset, name, ())
+            with pytest.raises(AttributeError):
+                delattr(keyset, name)
+        assert keyset == example_keyset()
+
+    def test_polybius_spec_checks_its_grid(self):
+        with pytest.raises(dgcipher.WrongLength):
+            PolybiusSpec(rows=2, cols=3, grid="KA")
+        assert PolybiusSpec(2, 3, "KALEMS") == PolybiusSpec(rows=2, cols=3, grid="KALEMS")
