@@ -7,7 +7,7 @@ alphabet, letter frequency analysis tools, and a command line front end.
 Every public name is importable from the package, but its module is only
 loaded when the name is first used (PEP 562), so a CLI call pays for the
 modules its subcommand runs and no more. For the same reason the records
-are NamedTuples or small plain classes: `dataclasses` imports `inspect`,
+are named tuples or small plain classes: `dataclasses` imports `inspect`,
 which would add several milliseconds to every call.
 """
 

@@ -23,8 +23,6 @@ ciphertext letters.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from .keyset import CascadeKeySet, SubstitutionAlphabet
 from .text_model import (
     ALPHABET,
@@ -35,6 +33,11 @@ from .text_model import (
     substitution_table,
     translate_periodic,
 )
+
+# Annotation-only names; `typing` is not imported at run time.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 _ROW = {Group.GROUP1: 0, Group.GROUP2: 1}
 

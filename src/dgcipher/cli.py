@@ -21,12 +21,16 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, TextIO
 
 from .errors import CipherError
 from .text_model import ALPHABET, Alphabet, IndexMode
 
+# Annotation-only names; `typing` is not imported at run time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+    from typing import BinaryIO, TextIO
+
     from .classical import PolybiusSpec
 
 # Only errors and text_model load with the CLI. Each handler imports the

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import (
     BadHeader,
@@ -37,6 +36,11 @@ from .errors import (
     WrongLength,
 )
 from .text_model import ALPHABET, ALPHABET_SIZE, Group, letter_index
+
+# Annotation-only names; `typing` is not imported at run time.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 HEADER = "CASCADE-KEYS v1"
 ROW_LABELS = ("G1S1", "G1S2", "G1S3", "G2S1", "G2S2", "G2S3", "FINAL")

@@ -23,11 +23,17 @@ tuple of them, so no cipher walks a message one character at a time.
 from __future__ import annotations
 
 import re
+import sys
+from collections import namedtuple
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import NonCanonicalSymbol
+
+# Annotation-only names; `typing` is not imported at run time.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Sequence
 
 ALPHABET = "ABCÇDEFGĞHIİJKLMNOÖPRSŞTUÜVYZ"
 LOWERCASE = "abcçdefgğhıijklmnoöprsştuüvyz"
@@ -43,6 +49,10 @@ LETTER_RUNS = f"([{ALPHABET}{LOWERCASE}]+)"
 _NON_LETTERS = f"[^{ALPHABET}{LOWERCASE}]+"
 _FOLD_UPPER = str.maketrans(LOWERCASE, ALPHABET)
 
+# str <-> native-order UTF-32 code points; surrogatepass lets lone
+# surrogates through.
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
 _UPPER_SPECIAL = {"i": "İ", "ı": "I"}
 _LOWER_SPECIAL = {"İ": "i", "I": "ı"}
 
@@ -57,9 +67,14 @@ def to_lower_tr(text: str) -> str:
     return "".join(_LOWER_SPECIAL.get(c, c.lower()) for c in text)
 
 
+def strip_passthrough(text: str) -> str:
+    """The letters of a text in their own case, passthrough dropped."""
+    return re.sub(_NON_LETTERS, "", text)
+
+
 def canonical_letters(text: str) -> str:
     """The letters of a text in canonical uppercase, passthrough dropped."""
-    return re.sub(_NON_LETTERS, "", text).translate(_FOLD_UPPER)
+    return strip_passthrough(text).translate(_FOLD_UPPER)
 
 
 def substitution_table(
@@ -103,12 +118,17 @@ def translate_periodic(
 
 
 def _strided(text: str, tables: Sequence[dict[int, int]], phase: int) -> str:
-    # Characters r, r + p, r + 2p, ... share a table: one translate each.
+    # Characters r, r + p, r + 2p, ... share a table: one translate each,
+    # written as UTF-32 code points into one buffer that is decoded once.
+    # A memoryview cast to "I" does what array("I") would without loading
+    # the array extension module on every call of the CLI.
     period = len(tables)
-    out = list(text)
+    out = bytearray(4 * len(text))
+    code_points = memoryview(out).cast("I")
     for r in range(min(period, len(text))):
-        out[r::period] = text[r::period].translate(tables[(phase + r) % period])
-    return "".join(out)
+        mapped = text[r::period].translate(tables[(phase + r) % period])
+        code_points[r::period] = memoryview(mapped.encode(_UTF32, "surrogatepass")).cast("I")
+    return out.decode(_UTF32, "surrogatepass")
 
 
 def letter_index(letter: str) -> int:
@@ -133,20 +153,19 @@ def letter_at(index: int) -> str:
     return ALPHABET[index]
 
 
-class LetterUnit(NamedTuple):
+class LetterUnit(namedtuple("LetterUnit", "letter was_lowercase")):
     """One enciphered position: a canonical letter plus its original case."""
 
-    letter: str
-    was_lowercase: bool
+    __slots__ = ()
 
 
-class Passthrough(NamedTuple):
+class Passthrough(namedtuple("Passthrough", "raw")):
     """One character that is copied through ciphers verbatim."""
 
-    raw: str
+    __slots__ = ()
 
 
-MessageUnit = Union[LetterUnit, Passthrough]
+MessageUnit = LetterUnit | Passthrough
 
 
 def to_canonical(char: str) -> MessageUnit:

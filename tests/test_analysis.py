@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+from operator import eq
 
 import pytest
 from hypothesis import example, given
@@ -10,22 +12,27 @@ from dgcipher import (
     ALPHABET,
     LOWERCASE,
     EmptyText,
+    FlatnessReport,
     FrequencyTable,
     IndexMode,
+    ShiftOutOfRange,
     SubstitutionGuess,
     TooShort,
     atbash,
     build_reference_table,
     chi_squared_distance,
     crack_shift,
+    encrypt_message,
     example_keyset,
     flatness_report,
+    generate_keyset,
     letter_frequencies,
     rank_match_attack,
     shift_encrypt,
     to_lower_tr,
     to_upper_tr,
 )
+from dgcipher.text_model import canonical_letters
 
 FREQ_SENTENCE = "Akif kasaba gitti ve et aldı."
 
@@ -62,6 +69,61 @@ def per_char_apply(text: str, mapping: dict[str, str]) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+def flatness_from_ciphertexts(
+    plaintext: str,
+    keyset,
+    reference: FrequencyTable,
+    *,
+    mode: IndexMode,
+    shift_k: int,
+    min_letters: int,
+) -> FlatnessReport:
+    """Reference flatness report: build both ciphertexts, count them and
+    rank-match them against the reference."""
+    plain_counts = per_char_counts(plaintext)
+    total = sum(plain_counts.values())
+    if total == 0:
+        raise EmptyText("no letters to count")
+    if total < min_letters:
+        raise TooShort(f"need at least {min_letters} letters, got {total}")
+    wanted = canonical_letters(plaintext)
+
+    def profile(ciphertext: str) -> tuple[FrequencyTable, float]:
+        recovered = canonical_letters(rank_match_attack(ciphertext, reference).apply(ciphertext))
+        table = FrequencyTable(per_char_counts(ciphertext), total)
+        return table, sum(map(eq, recovered, wanted)) / len(wanted)
+
+    shift_table, shift_accuracy = profile(shift_encrypt(plaintext, shift_k))
+    cascade_table, cascade_accuracy = profile(encrypt_message(plaintext, keyset, mode))
+    return FlatnessReport(
+        total_letters=total,
+        shift_k=shift_k,
+        index_mode=mode,
+        plain_table=FrequencyTable(plain_counts, total),
+        shift_table=shift_table,
+        cascade_table=cascade_table,
+        shift_accuracy=shift_accuracy,
+        cascade_accuracy=cascade_accuracy,
+        shift_chi_squared=chi_squared_distance(shift_table, reference),
+        cascade_chi_squared=chi_squared_distance(cascade_table, reference),
+    )
+
+
+def assert_same_flatness(plaintext: str, keyset, reference: FrequencyTable, **options) -> None:
+    """flatness_report equals the reference: the same record, renderings and errors."""
+    try:
+        want = flatness_from_ciphertexts(plaintext, keyset, reference, **options)
+    except (EmptyText, TooShort) as error:
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            flatness_report(plaintext, keyset, reference, **options)
+        return
+    got = flatness_report(plaintext, keyset, reference, **options)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert got.render_text() == want.render_text()
+    assert got.render_records() == want.render_records()
 
 
 class TestPerCharEquivalence:
@@ -276,3 +338,43 @@ class TestFlatnessReport:
         )
         assert report.index_mode is IndexMode.LETTERS_ONLY
         assert report.cascade_accuracy < report.shift_accuracy
+
+
+class TestFlatnessFromCounts:
+    """flatness_report counts the plaintext per phase; the reference builds
+    both ciphertexts. Every field, float and rendering must agree."""
+
+    @given(
+        lettered_texts | tricky_texts | st.text(),
+        st.sampled_from(IndexMode),
+        st.integers(min_value=0, max_value=28),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=12),
+    )
+    @example("Gazi Üniversitesi, Ankara!", IndexMode.LETTERS_ONLY, 3, 0, 0)
+    @example(" aA bB ıI iİ ſ", IndexMode.ALL_CHARS, 28, 1, 1)
+    def test_matches_report_from_ciphertexts(
+        self, reference: FrequencyTable, text: str, mode: IndexMode, shift_k: int, seed: int,
+        min_letters: int,
+    ):
+        options = dict(mode=mode, shift_k=shift_k, min_letters=min_letters)
+        assert_same_flatness(text, generate_keyset(seed), reference, **options)
+
+    @pytest.mark.parametrize("mode", list(IndexMode))
+    def test_corpus(self, corpus_text: str, reference: FrequencyTable, mode: IndexMode):
+        cases = ((3, example_keyset()), (0, generate_keyset(5)), (28, generate_keyset(6)))
+        for shift_k, keyset in cases:
+            assert_same_flatness(
+                corpus_text, keyset, reference, mode=mode, shift_k=shift_k, min_letters=1000
+            )
+
+    def test_errors_come_in_order(self, reference: FrequencyTable):
+        keyset = example_keyset()
+        with pytest.raises(EmptyText):
+            flatness_report("123 ?!", keyset, reference, shift_k=99, min_letters=5)
+        with pytest.raises(TooShort):
+            flatness_report("Az harf", keyset, reference, shift_k=99)
+        for k in (-1, 29):
+            # The shift is checked before the keyset is used.
+            with pytest.raises(ShiftOutOfRange, match=rf"^shift must be in 0\.\.28: {k}$"):
+                flatness_report("Az harf", None, reference, shift_k=k, min_letters=1)

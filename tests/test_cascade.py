@@ -33,6 +33,17 @@ letter_heavy = st.text(
     alphabet=st.characters() | st.sampled_from(LETTER_CHARS + "ſ\u212aаİ "), max_size=80
 )
 
+# Lone surrogates, which st.characters() never draws, astral characters
+# and letters; the example holds a surrogate pair split by a letter and
+# one written as two code points.
+UNPAIRED = "Gazi\ud800 \U0001f600Ü\udfffni\ud83d\ude00vers\udbffite\ud83d"
+unpaired_texts = st.text(
+    alphabet=st.characters(categories=["Cs"])
+    | st.characters(min_codepoint=0x10000)
+    | st.sampled_from(LETTER_CHARS + " "),
+    max_size=60,
+)
+
 # A strict table walk over the oracle's tables: only the 58 exact letter
 # forms are letters. oracle.encrypt itself uppercases with str.upper, which
 # turns U+017F (long s) into S, so it is not used as the reference here.
@@ -188,6 +199,14 @@ class TestStrictTableWalk:
     @given(letter_heavy)
     def test_letter_heavy_text(self, text: str):
         self.check(text)
+
+    @given(unpaired_texts)
+    @example(UNPAIRED)
+    def test_surrogates_and_astral_characters_pass_through(self, text: str):
+        self.check(text)
+        keyset = example_keyset()
+        for mode in IndexMode:
+            assert decrypt_message(encrypt_message(text, keyset, mode), keyset, mode) == text
 
     def test_long_s_passes_through(self, keyset: CascadeKeySet):
         for mode in IndexMode:

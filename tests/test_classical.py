@@ -76,6 +76,17 @@ tricky_texts = st.text(
 )
 
 
+# Lone surrogates, which st.characters() never draws, astral characters
+# and letters of both alphabets.
+UNPAIRED = "Gazi\ud800 \U0001f600Ü\udfffni\ud83d\ude00vers\udbffite\ud83d"
+unpaired_texts = st.text(
+    alphabet=st.characters(categories=["Cs"])
+    | st.characters(min_codepoint=0x10000)
+    | st.sampled_from(LETTER_CHARS + string.ascii_letters + " "),
+    max_size=40,
+)
+
+
 def per_letter(message: str, image_index, alphabet: tuple[str, str] = TURKISH) -> str:
     """Reference substitution, one character at a time: the i-th letter,
     at index j of its case's row, becomes the letter at image_index(i, j)
@@ -89,6 +100,21 @@ def per_letter(message: str, image_index, alphabet: tuple[str, str] = TURKISH) -
         out.append(row[image_index(i, row.index(ch))])
         i += 1
     return "".join(out)
+
+
+def check_vigenere(message: str, alphabet: tuple[str, str], shifts: list[int]) -> None:
+    upper, _ = alphabet
+    n = len(upper)
+    key = "".join(upper[k % n] for k in shifts)
+    which = Alphabet.TURKISH29 if alphabet is TURKISH else Alphabet.ENGLISH26
+
+    def shifted(sign: int):
+        return lambda i, j: (j + sign * upper.index(key[i % len(key)])) % n
+
+    encrypted = vigenere_encrypt(message, key, which)
+    assert encrypted == per_letter(message, shifted(+1), alphabet)
+    assert vigenere_decrypt(message, key, which) == per_letter(message, shifted(-1), alphabet)
+    assert vigenere_decrypt(encrypted, key, which) == message
 
 
 class TestPerLetterEquivalence:
@@ -112,16 +138,19 @@ class TestPerLetterEquivalence:
     @example(TRICKY, ENGLISH, list(range(26)) * 2)  # key longer than the text
     @example("a" + TRICKY + "b", TURKISH, list(range(29)) * 2)
     def test_vigenere(self, message: str, alphabet: tuple[str, str], shifts: list[int]):
-        upper, _ = alphabet
-        n = len(upper)
-        key = "".join(upper[k % n] for k in shifts)
-        which = Alphabet.TURKISH29 if alphabet is TURKISH else Alphabet.ENGLISH26
+        check_vigenere(message, alphabet, shifts)
 
-        def shifted(sign: int):
-            return lambda i, j: (j + sign * upper.index(key[i % len(key)])) % n
-
-        assert vigenere_encrypt(message, key, which) == per_letter(message, shifted(+1), alphabet)
-        assert vigenere_decrypt(message, key, which) == per_letter(message, shifted(-1), alphabet)
+    @given(
+        unpaired_texts,
+        st.sampled_from([TURKISH, ENGLISH]),
+        st.lists(st.integers(min_value=0, max_value=28), min_size=1, max_size=15),
+    )
+    @example(UNPAIRED, TURKISH, list(range(13)))
+    @example(UNPAIRED, ENGLISH, [3])
+    def test_vigenere_keeps_surrogates_and_astral_characters(
+        self, message: str, alphabet: tuple[str, str], shifts: list[int]
+    ):
+        check_vigenere(message, alphabet, shifts)
 
     @given(tricky_texts, st.integers(min_value=0, max_value=2**32))
     @example(TRICKY, 0)

@@ -55,9 +55,15 @@ _HEAVY = {"dgcipher.classical", "dgcipher.analysis", "dataclasses"}
 _NO_CIPHERS = {"dgcipher.cascade", "dgcipher.classical", "dataclasses"}
 
 
-def _modules(code: str, *args: str, cwd: pathlib.Path | None = None) -> set[str]:
+def _modules(
+    code: str, *args: str, cwd: pathlib.Path | None = None, flags: tuple[str, ...] = ()
+) -> set[str]:
     done = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd, env=_ENV
+        [sys.executable, *flags, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=_ENV,
     )
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
@@ -66,6 +72,11 @@ def _modules(code: str, *args: str, cwd: pathlib.Path | None = None) -> set[str]
 @pytest.fixture(scope="module")
 def bare() -> set[str]:
     return _modules(_MODULES)
+
+
+@pytest.fixture(scope="module")
+def bare_no_site() -> set[str]:
+    return _modules(_MODULES, flags=("-S",))
 
 
 @pytest.fixture(scope="module")
@@ -87,14 +98,36 @@ def workdir(tmp_path_factory: pytest.TempPathFactory, corpus_text: str) -> pathl
         ("keygen --seed 7 --out out.txt", _HEAVY),
         ("analyze --in msg.txt --out out.txt", _NO_CIPHERS),
         ("crack --reference corpus.txt --in msg.txt --out out.txt", _NO_CIPHERS),
-        ("flatness --key paper --reference corpus.txt --in corpus.txt --out out.txt", {"dataclasses"}),
+        ("flatness --key paper --reference corpus.txt --in corpus.txt --out out.txt", _NO_CIPHERS),
         ("classical vigenere --key anahtar --in msg.txt --out out.txt", {"dgcipher.analysis", "dataclasses"}),
+        (
+            "flatness --key key.txt --index-mode letters-only --format records"
+            " --reference corpus.txt --in corpus.txt --out out.txt",
+            _NO_CIPHERS,
+        ),
     ],
 )
 def test_cli_call_loads_only_what_it_runs(bare, workdir, argv: str, absent: set[str]):
     added = _modules(_CLI_THEN_MODULES, *argv.split(), cwd=workdir) - bare
     assert "dgcipher.text_model" in added
     assert added & absent == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "encrypt --key paper --in msg.txt --out out.txt",
+        "decrypt --key key.txt --index-mode letters-only --in msg.txt --out out.txt",
+        "keycheck --key key.txt --out out.txt",
+        "keygen --seed 7 --out out.txt",
+    ],
+)
+def test_cascade_calls_import_no_typing(bare_no_site, workdir, argv: str):
+    # Run without site: a site-packages .pth file may import typing before
+    # any package code runs, which would hide an import made here.
+    added = _modules(_CLI_THEN_MODULES, *argv.split(), cwd=workdir, flags=("-S",)) - bare_no_site
+    assert "dgcipher.keyset" in added
+    assert "typing" not in added
 
 
 def test_importing_the_package_loads_no_submodule(bare):
