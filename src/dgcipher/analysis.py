@@ -19,6 +19,7 @@ from .text_model import (
     IndexMode,
     strip_passthrough,
     substitution_table,
+    translate_periodic,
 )
 
 if TYPE_CHECKING:
@@ -60,6 +61,11 @@ def _letter_counts(text: str) -> dict[str, int]:
     }
 
 
+def _add_letter_counts(counts: dict[str, int], text: str) -> None:
+    for letter, n in _letter_counts(text).items():
+        counts[letter] += n
+
+
 def _table_from_counts(counts: dict[str, int]) -> FrequencyTable:
     total = sum(counts.values())
     if total == 0:
@@ -86,8 +92,7 @@ def build_reference_table(chunks: Iterable[str]) -> FrequencyTable:
         chunks = [chunks]
     counts = dict.fromkeys(ALPHABET, 0)
     for chunk in chunks:
-        for letter, n in _letter_counts(chunk).items():
-            counts[letter] += n
+        _add_letter_counts(counts, chunk)
     return _table_from_counts(counts)
 
 
@@ -99,7 +104,7 @@ class SubstitutionGuess(NamedTuple):
     def apply(self, text: str) -> str:
         """Rewrite a text through the guess, keeping passthrough and case."""
         table = substitution_table("".join(self.mapping), "".join(self.mapping.values()))
-        return text.translate(table)
+        return translate_periodic(text, (table,))[0]
 
 
 def rank_match_attack(ciphertext: str, reference: FrequencyTable) -> SubstitutionGuess:
@@ -255,7 +260,7 @@ def _cipher_profile(
 
 
 def flatness_report(
-    plaintext: str,
+    plaintext: str | Iterable[str],
     keyset: CascadeKeySet,
     reference: FrequencyTable,
     *,
@@ -272,15 +277,25 @@ def flatness_report(
     Both ciphers send each letter through a fixed row chosen by its phase
     (the cascade's by position parity, counted as `mode` says), so
     everything follows from the plaintext's letter counts per phase;
-    neither ciphertext is built.
+    neither ciphertext is built. The plaintext may come as an iterable of
+    chunks (a plain string counts as one chunk); the counts are summed
+    chunk by chunk with the phase carried over, so memory use is bounded
+    by chunk size.
 
     Raises:
         EmptyText: no letters at all.
         TooShort: fewer than min_letters letters of plaintext.
         ShiftOutOfRange: shift_k outside 0..28.
     """
-    text = strip_passthrough(plaintext) if mode is IndexMode.LETTERS_ONLY else plaintext
-    even, odd = _letter_counts(text[0::2]), _letter_counts(text[1::2])
+    if isinstance(plaintext, str):
+        plaintext = [plaintext]
+    even, odd = dict.fromkeys(ALPHABET, 0), dict.fromkeys(ALPHABET, 0)
+    phase = 0
+    for chunk in plaintext:
+        text = strip_passthrough(chunk) if mode is IndexMode.LETTERS_ONLY else chunk
+        _add_letter_counts(even, text[phase::2])
+        _add_letter_counts(odd, text[1 - phase::2])
+        phase = (phase + len(text)) % 2
     plain_table = _table_from_counts({letter: even[letter] + odd[letter] for letter in ALPHABET})
     if plain_table.total_letters < min_letters:
         raise TooShort(

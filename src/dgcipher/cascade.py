@@ -11,9 +11,9 @@ Because every step is a fixed bijection, each group collapses to a single
 composite permutation, which the keyset computes once
 (CascadeKeySet.composite_rows) and composite_table() exposes. The whole
 cipher is therefore a period-two substitution: each composite row becomes
-a case-aware str.translate table, and text_model.translate_periodic sends
-the even zero-based positions through the GROUP1 table and the odd ones
-through the GROUP2 table.
+a case-aware byte table, and text_model.translate_periodic sends the even
+zero-based positions (or letter ordinals) through the GROUP1 table and
+the odd ones through the GROUP2 table.
 
 Passthrough characters are copied verbatim and, in ALL_CHARS mode, still
 advance the position counter; in LETTERS_ONLY mode only letters advance
@@ -26,7 +26,7 @@ from __future__ import annotations
 from .keyset import CascadeKeySet, SubstitutionAlphabet
 from .text_model import (
     ALPHABET,
-    LETTER_RUNS,
+    LETTERS,
     Group,
     IndexMode,
     letter_index,
@@ -66,10 +66,10 @@ def transform_stream(
     """
     rows = keyset.inverse_rows if decrypt else keyset.composite_rows
     tables = tuple(substitution_table(ALPHABET, row) for row in rows)
-    runs = LETTER_RUNS if mode is IndexMode.LETTERS_ONLY else None
+    letters = LETTERS if mode is IndexMode.LETTERS_ONLY else None
     phase = 0
     for chunk in chunks:
-        out, phase = translate_periodic(chunk, tables, phase, runs)
+        out, phase = translate_periodic(chunk, tables, phase, letters)
         yield out
 
 

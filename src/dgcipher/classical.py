@@ -34,7 +34,7 @@ from .keyset import SplitMix64
 from .text_model import (
     ALPHABET,
     ALPHABET_SIZE,
-    LETTER_RUNS,
+    LETTERS,
     Alphabet,
     LetterUnit,
     canonical_letters,
@@ -48,7 +48,7 @@ from .text_model import (
 
 def _substitute(message: str, image: str) -> str:
     """Send each letter ALPHABET[j] to image[j], keeping passthrough and case."""
-    return message.translate(substitution_table(ALPHABET, image))
+    return translate_periodic(message, (substitution_table(ALPHABET, image),))[0]
 
 
 # --- shift (rotation) ---
@@ -111,21 +111,18 @@ def _key_letters(key: str, alphabet: Alphabet) -> str:
     return "".join(kept)
 
 
-_ENGLISH_RUNS = "([A-Za-z]+)"
-
-
 def _vigenere(message: str, key: str, alphabet: Alphabet, sign: int) -> str:
     if alphabet is Alphabet.ENGLISH26:
-        letters, lower, runs = string.ascii_uppercase, str.lower, _ENGLISH_RUNS
+        letters, lower, counted = string.ascii_uppercase, str.lower, string.ascii_letters
     else:
-        letters, lower, runs = ALPHABET, to_lower_tr, LETTER_RUNS
+        letters, lower, counted = ALPHABET, to_lower_tr, LETTERS
     key_letters = _key_letters(key, alphabet)
     tables = {}
     for letter in set(key_letters):
         k = sign * letters.index(letter) % len(letters)
         tables[letter] = substitution_table(letters, letters[k:] + letters[:k], lower)
     # Period len(key), counted over letters: passthrough does not consume a key letter.
-    return translate_periodic(message, [tables[c] for c in key_letters], 0, runs)[0]
+    return translate_periodic(message, [tables[c] for c in key_letters], 0, counted)[0]
 
 
 def vigenere_encrypt(message: str, key: str, alphabet: Alphabet = Alphabet.ENGLISH26) -> str:

@@ -28,7 +28,7 @@ from .text_model import ALPHABET, Alphabet, IndexMode
 # Annotation-only names; `typing` is not imported at run time.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Iterable, Iterator, Sequence
     from typing import BinaryIO, TextIO
 
     from .classical import PolybiusSpec
@@ -318,8 +318,9 @@ def _cmd_flatness(args: argparse.Namespace) -> int:
 
     keyset = _resolve_keyset(args.key)
     reference = _letter_table(args.reference)
-    text = "".join(_input_chunks(args.infile))
-    report = flatness_report(text, keyset, reference, mode=IndexMode(args.index_mode))
+    report = flatness_report(
+        _input_chunks(args.infile), keyset, reference, mode=IndexMode(args.index_mode)
+    )
     rendered = report.render_records() if args.format == "records" else report.render_text()
     _write_all(args.outfile, [rendered])
     return 0
@@ -341,11 +342,32 @@ def _add_index_mode(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> _Parser:
+# Every command, and every classical cipher. build_parser skips the
+# subparsers that parsing argv does not consult.
+_COMMANDS = ("encrypt", "decrypt", "keygen", "keycheck", "classical", "analyze", "crack", "flatness")
+_CIPHERS = ("shift", "atbash", "vigenere", "playfair", "polybius", "railfence", "scytale", "vernam")
+
+
+def _builds(name: str, argv: Sequence[str], names: Sequence[str]) -> bool:
+    # argparse consults only the subparser that argv's first token names,
+    # and lists them all only when that token names none of them.
+    return not argv or argv[0] not in names or argv[0] == name
+
+
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """Build the dgcipher argument parser.
+
+    With argv, only the parts that parsing argv consults are built: the
+    subparser of the command its first token names and, for classical,
+    of the cipher its second token names. Parsing argv, and any help or
+    error it prints, is the same as with the full parser.
+    """
     parser = _Parser(prog="dgcipher", description="Dual-group cascade cipher toolkit.")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     for name, decrypt in (("encrypt", False), ("decrypt", True)):
+        if not _builds(name, argv, _COMMANDS):
+            continue
         sub = commands.add_parser(name, help=f"{name} text with a cascade keyset")
         sub.add_argument(
             "--key",
@@ -357,22 +379,65 @@ def build_parser() -> _Parser:
         sub.add_argument("--verbose", action="store_true", help="echo settings to stderr")
         sub.set_defaults(handler=lambda args, _p, d=decrypt: _cmd_cascade(args, decrypt=d))
 
-    keygen = commands.add_parser("keygen", help="generate a key file from a seed")
-    keygen.add_argument("--seed", required=True, type=_seed_value, help="64-bit unsigned seed")
-    keygen.add_argument(
-        "--otp-length",
-        type=_nonnegative,
-        metavar="N",
-        help="emit a one-time letter key of length N instead of a keyset",
-    )
-    _add_io_flags(keygen)
-    keygen.set_defaults(handler=lambda args, _p: _cmd_keygen(args))
+    if _builds("keygen", argv, _COMMANDS):
+        keygen = commands.add_parser("keygen", help="generate a key file from a seed")
+        keygen.add_argument("--seed", required=True, type=_seed_value, help="64-bit unsigned seed")
+        keygen.add_argument(
+            "--otp-length",
+            type=_nonnegative,
+            metavar="N",
+            help="emit a one-time letter key of length N instead of a keyset",
+        )
+        _add_io_flags(keygen)
+        keygen.set_defaults(handler=lambda args, _p: _cmd_keygen(args))
 
-    keycheck = commands.add_parser("keycheck", help="validate a key file")
-    keycheck.add_argument("--key", required=True, help="key file path, or 'paper'")
-    _add_io_flags(keycheck)
-    keycheck.set_defaults(handler=lambda args, _p: _cmd_keycheck(args))
+    if _builds("keycheck", argv, _COMMANDS):
+        keycheck = commands.add_parser("keycheck", help="validate a key file")
+        keycheck.add_argument("--key", required=True, help="key file path, or 'paper'")
+        _add_io_flags(keycheck)
+        keycheck.set_defaults(handler=lambda args, _p: _cmd_keycheck(args))
 
+    if _builds("classical", argv, _COMMANDS):
+        _add_classical(commands, argv[1:])
+
+    if _builds("analyze", argv, _COMMANDS):
+        analyze = commands.add_parser("analyze", help="letter frequency table of the input")
+        analyze.add_argument(
+            "--format", choices=["text", "records"], default="text",
+            help="human table or tab-separated records",
+        )
+        _add_io_flags(analyze)
+        analyze.set_defaults(handler=lambda args, _p: _cmd_analyze(args))
+
+    if _builds("crack", argv, _COMMANDS):
+        crack = commands.add_parser("crack", help="recover a shift cipher's shift amount")
+        crack.add_argument("--reference", required=True, metavar="PATH", help="reference corpus file")
+        crack.add_argument(
+            "--min-letters", type=_nonnegative, default=100,
+            help="letters needed for a confident answer (default 100)",
+        )
+        crack.add_argument("--verbose", action="store_true", help="print all 29 distances to stderr")
+        _add_io_flags(crack)
+        crack.set_defaults(handler=lambda args, _p: _cmd_crack(args))
+
+    if _builds("flatness", argv, _COMMANDS):
+        flatness = commands.add_parser(
+            "flatness", help="compare shift and cascade ciphertext letter profiles"
+        )
+        flatness.add_argument("--key", required=True, help="key file path, or 'paper'")
+        flatness.add_argument("--reference", required=True, metavar="PATH", help="reference corpus file")
+        flatness.add_argument(
+            "--format", choices=["text", "records"], default="text",
+            help="human report or tab-separated records",
+        )
+        _add_index_mode(flatness)
+        _add_io_flags(flatness)
+        flatness.set_defaults(handler=lambda args, _p: _cmd_flatness(args))
+
+    return parser
+
+
+def _add_classical(commands, argv: Sequence[str]) -> None:
     classical = commands.add_parser("classical", help="run one of the classical ciphers")
     ciphers = classical.add_subparsers(dest="cipher", required=True, metavar="CIPHER")
 
@@ -383,76 +448,53 @@ def build_parser() -> _Parser:
         sub.set_defaults(handler=lambda args, p: _cmd_classical(args, p))
         return sub
 
-    shift = cipher_parser("shift", "rotate letters by a fixed amount")
-    shift.add_argument("--k", required=True, type=int, help="shift amount, 0..28")
+    if _builds("shift", argv, _CIPHERS):
+        shift = cipher_parser("shift", "rotate letters by a fixed amount")
+        shift.add_argument("--k", required=True, type=int, help="shift amount, 0..28")
 
-    cipher_parser("atbash", "mirror letters across the alphabet (self-inverse)")
+    if _builds("atbash", argv, _CIPHERS):
+        cipher_parser("atbash", "mirror letters across the alphabet (self-inverse)")
 
-    vigenere = cipher_parser("vigenere", "running-key letter shifts")
-    vigenere.add_argument("--key", required=True, help="key letters")
-    vigenere.add_argument(
-        "--alphabet",
-        choices=[a.value for a in Alphabet],
-        default=Alphabet.ENGLISH26.value,
-        help="working alphabet",
-    )
+    if _builds("vigenere", argv, _CIPHERS):
+        vigenere = cipher_parser("vigenere", "running-key letter shifts")
+        vigenere.add_argument("--key", required=True, help="key letters")
+        vigenere.add_argument(
+            "--alphabet",
+            choices=[a.value for a in Alphabet],
+            default=Alphabet.ENGLISH26.value,
+            help="working alphabet",
+        )
 
-    playfair = cipher_parser("playfair", "5x5 digram cipher")
-    playfair.add_argument("--keyword", required=True, help="table keyword")
-    playfair.add_argument("--padding", default="M", help="padding letter (default M)")
+    if _builds("playfair", argv, _CIPHERS):
+        playfair = cipher_parser("playfair", "5x5 digram cipher")
+        playfair.add_argument("--keyword", required=True, help="table keyword")
+        playfair.add_argument("--padding", default="M", help="padding letter (default M)")
 
-    polybius = cipher_parser("polybius", "coordinate grid code")
-    polybius.add_argument("--grid", help="row-major grid letters (default: full alphabet)")
-    polybius.add_argument("--rows", type=int, help="grid rows")
-    polybius.add_argument("--cols", type=int, help="grid columns")
+    if _builds("polybius", argv, _CIPHERS):
+        polybius = cipher_parser("polybius", "coordinate grid code")
+        polybius.add_argument("--grid", help="row-major grid letters (default: full alphabet)")
+        polybius.add_argument("--rows", type=int, help="grid rows")
+        polybius.add_argument("--cols", type=int, help="grid columns")
 
-    railfence = cipher_parser("railfence", "zigzag transposition")
-    railfence.add_argument("--rails", required=True, type=int, help="rail count")
+    if _builds("railfence", argv, _CIPHERS):
+        railfence = cipher_parser("railfence", "zigzag transposition")
+        railfence.add_argument("--rails", required=True, type=int, help="rail count")
 
-    scytale = cipher_parser("scytale", "rod transposition")
-    scytale.add_argument("--circumference", required=True, type=int, help="rod circumference")
+    if _builds("scytale", argv, _CIPHERS):
+        scytale = cipher_parser("scytale", "rod transposition")
+        scytale.add_argument("--circumference", required=True, type=int, help="rod circumference")
 
-    vernam = cipher_parser("vernam", "one-time running key, modular addition")
-    vernam_key = vernam.add_mutually_exclusive_group(required=True)
-    vernam_key.add_argument("--key", help="key letters")
-    vernam_key.add_argument("--key-file", metavar="PATH", help="file holding the key letters")
-
-    analyze = commands.add_parser("analyze", help="letter frequency table of the input")
-    analyze.add_argument(
-        "--format", choices=["text", "records"], default="text",
-        help="human table or tab-separated records",
-    )
-    _add_io_flags(analyze)
-    analyze.set_defaults(handler=lambda args, _p: _cmd_analyze(args))
-
-    crack = commands.add_parser("crack", help="recover a shift cipher's shift amount")
-    crack.add_argument("--reference", required=True, metavar="PATH", help="reference corpus file")
-    crack.add_argument(
-        "--min-letters", type=_nonnegative, default=100,
-        help="letters needed for a confident answer (default 100)",
-    )
-    crack.add_argument("--verbose", action="store_true", help="print all 29 distances to stderr")
-    _add_io_flags(crack)
-    crack.set_defaults(handler=lambda args, _p: _cmd_crack(args))
-
-    flatness = commands.add_parser(
-        "flatness", help="compare shift and cascade ciphertext letter profiles"
-    )
-    flatness.add_argument("--key", required=True, help="key file path, or 'paper'")
-    flatness.add_argument("--reference", required=True, metavar="PATH", help="reference corpus file")
-    flatness.add_argument(
-        "--format", choices=["text", "records"], default="text",
-        help="human report or tab-separated records",
-    )
-    _add_index_mode(flatness)
-    _add_io_flags(flatness)
-    flatness.set_defaults(handler=lambda args, _p: _cmd_flatness(args))
-
-    return parser
+    if _builds("vernam", argv, _CIPHERS):
+        vernam = cipher_parser("vernam", "one-time running key, modular addition")
+        vernam_key = vernam.add_mutually_exclusive_group(required=True)
+        vernam_key.add_argument("--key", help="key letters")
+        vernam_key.add_argument("--key-file", metavar="PATH", help="file holding the key letters")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if _same_file(args.infile, args.outfile):
         parser.error(f"--in and --out name the same file: {args.outfile}")

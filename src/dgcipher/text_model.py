@@ -16,17 +16,19 @@ passthrough, so tokenize/render round-trips any string unchanged.
 
 Every letter-wise cipher in the package is a periodic substitution: the
 i-th letter (or character) goes through tables[i % p]. substitution_table
-builds one case-aware str.translate table and translate_periodic applies a
-tuple of them, so no cipher walks a message one character at a time.
+builds one case-aware bytes.translate table over Latin-5 (ISO-8859-9),
+which holds the 58 Turkish letter forms and the 52 ASCII letters in one
+byte each, and translate_periodic applies a tuple of them to the text's
+Latin-5 bytes, so no cipher walks a message one character at a time.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from collections import namedtuple
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain, count
+from operator import add
 
 from .errors import NonCanonicalSymbol
 
@@ -42,16 +44,18 @@ ALPHABET_SIZE = len(ALPHABET)
 _INDEX = {letter: j for j, letter in enumerate(ALPHABET)}
 _LOWER_INDEX = {letter: j for j, letter in enumerate(LOWERCASE)}
 
+# The 58 letter forms that count as letters.
+LETTERS = ALPHABET + LOWERCASE
+
 # Regex sources, compiled on first use by re's own cache so that importing
-# the package compiles no regex. LETTER_RUNS has one capturing group, so
-# re.split keeps the runs at the odd indices of its result.
-LETTER_RUNS = f"([{ALPHABET}{LOWERCASE}]+)"
-_NON_LETTERS = f"[^{ALPHABET}{LOWERCASE}]+"
+# the package compiles no regex.
+_NON_LETTERS = f"[^{LETTERS}]+"
 _FOLD_UPPER = str.maketrans(LOWERCASE, ALPHABET)
 
-# str <-> native-order UTF-32 code points; surrogatepass lets lone
-# surrogates through.
-_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+# The engine works on Latin-5 bytes. Encoding with "replace" writes one "?"
+# for each code point Latin-5 lacks (astral characters, lone surrogates,
+# other scripts), so byte offsets equal str indices.
+_LATIN5 = "iso8859_9"
 
 _UPPER_SPECIAL = {"i": "İ", "ı": "I"}
 _LOWER_SPECIAL = {"İ": "i", "I": "ı"}
@@ -79,56 +83,118 @@ def canonical_letters(text: str) -> str:
 
 def substitution_table(
     source: str, image: str, lower: Callable[[str], str] = to_lower_tr
-) -> dict[int, int]:
-    """Build a case-aware str.translate table sending source[j] to image[j].
+) -> bytes:
+    """Build a case-aware bytes.translate table sending source[j] to image[j].
 
     Both rows hold uppercase letters. The table also sends the lowercase
     form of source[j] to the lowercase form of image[j], with lowercase
     forms taken by `lower`: the Turkish rules by default (I pairs with ı,
-    İ with i; str.lower would turn İ into two code points). Characters
-    outside the table pass through str.translate unchanged.
+    İ with i; str.lower would turn İ into two code points). The table is
+    over the Latin-5 bytes of the letters; every other byte maps to itself.
     """
-    return str.maketrans(source + lower(source), image + lower(image))
+    return bytes.maketrans(
+        (source + lower(source)).encode(_LATIN5), (image + lower(image)).encode(_LATIN5)
+    )
 
 
 def translate_periodic(
     text: str,
-    tables: Sequence[dict[int, int]],
+    tables: Sequence[bytes],
     phase: int = 0,
-    runs: str | None = None,
+    letters: str | None = None,
 ) -> tuple[str, int]:
     """Send the i-th counted character of text through tables[(phase + i) % p].
 
-    With runs None every character is counted. With a regex (one capturing
-    group, such as LETTER_RUNS) only the characters inside its matches are
-    counted and translated; everything between them is copied verbatim.
+    The tables come from substitution_table. With letters None every
+    character is counted. With a string of letters (such as LETTERS) only
+    those characters are counted and translated; everything else is copied
+    verbatim.
 
     Returns the output and the phase for the text that follows, so a
     stream translated chunk by chunk equals the whole text translated once.
     """
     period = len(tables)
-    if runs is None:
-        return _strided(text, tables, phase), (phase + len(text)) % period
-    parts = re.split(runs, text)
-    letters = "".join(parts[1::2])
-    mapped = _strided(letters, tables, phase)
-    ends = list(accumulate(map(len, parts[1::2])))
-    parts[1::2] = [mapped[start:end] for start, end in zip([0, *ends], ends)]
-    return "".join(parts), (phase + len(letters)) % period
+    data = text.encode(_LATIN5, "replace")
+    if letters is None:
+        out, counted = _strided(data, tables, phase), len(data)
+    elif period == 2:  # counted is then the letter count's parity
+        out, counted = _by_parity(data, tables, phase, letters.encode(_LATIN5))
+    else:
+        out, counted = _by_runs(data, tables, phase, letters.encode(_LATIN5))
+    return _decode(out, text), (phase + counted) % period
 
 
-def _strided(text: str, tables: Sequence[dict[int, int]], phase: int) -> str:
-    # Characters r, r + p, r + 2p, ... share a table: one translate each,
-    # written as UTF-32 code points into one buffer that is decoded once.
-    # A memoryview cast to "I" does what array("I") would without loading
-    # the array extension module on every call of the CLI.
+def _strided(data: bytes, tables: Sequence[bytes], phase: int) -> bytearray:
+    # Bytes r, r + p, r + 2p, ... share a table: one translate each,
+    # written into one buffer.
     period = len(tables)
-    out = bytearray(4 * len(text))
-    code_points = memoryview(out).cast("I")
-    for r in range(min(period, len(text))):
-        mapped = text[r::period].translate(tables[(phase + r) % period])
-        code_points[r::period] = memoryview(mapped.encode(_UTF32, "surrogatepass")).cast("I")
-    return out.decode(_UTF32, "surrogatepass")
+    out = bytearray(len(data))
+    for r in range(min(period, len(data))):
+        out[r::period] = data[r::period].translate(tables[(phase + r) % period])
+    return out
+
+
+def _by_parity(
+    data: bytes, tables: Sequence[bytes], phase: int, letters: bytes
+) -> tuple[bytes, int]:
+    # Period two over letters. Each byte's letter flag (0 or 1) sits at
+    # bits 8i..8i+7 of one integer; XORed with itself shifted down by 1, 2,
+    # 4, ... bytes, byte i holds the parity of the letters from i on, and
+    # byte 0 that of all of them. No bit crosses into the next byte, so
+    # times 255 it is a 0x00/0xFF mask. A byte whose parity from i on
+    # equals the total has an even number of letters before it and takes
+    # tables[phase]; a passthrough byte is the same under both tables.
+    size = len(data)
+    flags = data.translate(bytes(byte in letters for byte in range(256)))
+    parity = int.from_bytes(flags, "little")
+    step = 8
+    while step < 8 * size:
+        parity ^= parity >> step
+        step <<= 1
+    total = parity & 1
+    same = int.from_bytes(data.translate(tables[phase ^ total]), "little")
+    other = int.from_bytes(data.translate(tables[phase ^ total ^ 1]), "little")
+    chosen = same ^ ((same ^ other) & parity * 255)
+    return chosen.to_bytes(size, "little"), total
+
+
+def _by_runs(
+    data: bytes, tables: Sequence[bytes], phase: int, letters: bytes
+) -> tuple[bytes, int]:
+    # Any period over letters: cut out the letter runs, translate them as
+    # one string and put them back. The pattern's one capturing group
+    # leaves the runs at the odd indices of re.split's result.
+    parts = re.split(b"([" + re.escape(letters) + b"]+)", data)
+    runs = parts[1::2]
+    mapped = _strided(b"".join(runs), tables, phase)
+    ends = list(accumulate(map(len, runs)))
+    parts[1::2] = [mapped[start:end] for start, end in zip([0, *ends], ends)]
+    return b"".join(parts), len(mapped)
+
+
+def _decode(data: bytes | bytearray, text: str) -> str:
+    # Every "?" of the output stands where text had "?" or a character
+    # Latin-5 lacks; put the latter back.
+    mapped = data.decode(_LATIN5)
+    replaced = mapped.count("?") - text.count("?")
+    if not replaced:
+        return mapped
+    if 8 * replaced < len(text):
+        # A few: take each from text. The k-th "?" follows k earlier ones
+        # and the first k + 1 pieces between them.
+        pieces = mapped.split("?")
+        at = map(add, accumulate(map(len, pieces[:-1])), count())
+        return "".join(chain.from_iterable(zip(pieces, map(text.__getitem__, at)))) + pieces[-1]
+    # Many: choose every character at once, between the UTF-32 code units
+    # of mapped and of text, under a mask that is 0xFFFFFFFF where data
+    # holds "?". Per character of text this costs about a ninth of what
+    # the path above spends per character it puts back.
+    lanes = data.translate(bytes(byte == ord("?") for byte in range(256)))
+    mask = int.from_bytes(lanes.decode("latin-1").encode("utf-32-le"), "little") * 0xFFFFFFFF
+    new = int.from_bytes(mapped.encode("utf-32-le"), "little")
+    old = int.from_bytes(text.encode("utf-32-le", "surrogatepass"), "little")
+    chosen = new ^ ((new ^ old) & mask)
+    return chosen.to_bytes(4 * len(text), "little").decode("utf-32-le", "surrogatepass")
 
 
 def letter_index(letter: str) -> int:

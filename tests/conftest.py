@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pathlib
+import random
 
 import pytest
 from hypothesis import settings
@@ -31,3 +32,17 @@ def reference(corpus_text: str):
 @pytest.fixture(scope="session")
 def keyset():
     return example_keyset()
+
+
+@pytest.fixture(scope="session")
+def every_character() -> str:
+    """Every BMP code point (lone surrogates included), astral characters,
+    "?" next to characters Latin-5 lacks (long s, Kelvin sign, Cyrillic)
+    and the six Latin-1 letters Latin-5 lacks, followed by the same
+    characters in a seeded shuffle, so that letters also sit next to every
+    kind of passthrough."""
+    extras = "\U00010000\U0001f600\U0001f1f9\U0001f1f7\U0010ffff?ſ?\u212a?ж??ÐÝÞðýþ?Ð?þ"
+    ordered = "".join(map(chr, range(0x10000))) + extras
+    shuffled = list(ordered)
+    random.Random(20261018).shuffle(shuffled)
+    return ordered + "".join(shuffled)

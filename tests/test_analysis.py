@@ -148,6 +148,14 @@ class TestPerCharEquivalence:
         mapping = dict(zip(ALPHABET, images))
         assert SubstitutionGuess(mapping).apply(text) == per_char_apply(text, mapping)
 
+    def test_substitution_guess_apply_every_code_point(self, every_character: str):
+        images = list(ALPHABET)
+        random.Random(7).shuffle(images)
+        mapping = dict(zip(ALPHABET, images))
+        assert SubstitutionGuess(mapping).apply(every_character) == per_char_apply(
+            every_character, mapping
+        )
+
 
 class TestLetterFrequencies:
     def test_counts_and_total(self):
@@ -367,6 +375,38 @@ class TestFlatnessFromCounts:
             assert_same_flatness(
                 corpus_text, keyset, reference, mode=mode, shift_k=shift_k, min_letters=1000
             )
+
+    @given(
+        lettered_texts | tricky_texts,
+        st.lists(st.integers(min_value=0, max_value=200), max_size=8),
+        st.sampled_from(IndexMode),
+    )
+    def test_chunks_give_the_report_of_one_string(
+        self, reference: FrequencyTable, text: str, cuts: list[int], mode: IndexMode
+    ):
+        cuts = sorted(min(c, len(text)) for c in cuts)
+        chunks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+        options = dict(mode=mode, shift_k=5, min_letters=0)
+        try:
+            want = flatness_report(text, generate_keyset(3), reference, **options)
+        except EmptyText:
+            with pytest.raises(EmptyText):
+                flatness_report(iter(chunks), generate_keyset(3), reference, **options)
+            return
+        assert flatness_report(iter(chunks), generate_keyset(3), reference, **options) == want
+
+    @pytest.mark.parametrize("mode", list(IndexMode))
+    def test_corpus_in_odd_chunks(self, corpus_text: str, reference: FrequencyTable, mode: IndexMode):
+        sizes, cuts = [1, 7, 333, 4097], [0]
+        while cuts[-1] < len(corpus_text):
+            cuts.append(cuts[-1] + sizes[len(cuts) % len(sizes)])
+        chunks = (corpus_text[a:b] for a, b in zip(cuts, cuts[1:]))
+        keyset = generate_keyset(11)
+        want = flatness_report(corpus_text, keyset, reference, mode=mode)
+        got = flatness_report(chunks, keyset, reference, mode=mode)
+        assert got == want
+        assert got.render_text() == want.render_text()
+        assert got.render_records() == want.render_records()
 
     def test_errors_come_in_order(self, reference: FrequencyTable):
         keyset = example_keyset()

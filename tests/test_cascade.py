@@ -208,6 +208,25 @@ class TestStrictTableWalk:
         for mode in IndexMode:
             assert decrypt_message(encrypt_message(text, keyset, mode), keyset, mode) == text
 
+    def test_every_code_point(self, every_character: str):
+        self.check(every_character)
+        # The same characters, sparse among letters and spaces.
+        self.check("".join(c + "Gazi Üniversitesi, " for c in every_character[::16]))
+
+    def test_every_code_point_in_odd_chunks(self, every_character: str):
+        # The phase is carried across chunks of odd lengths, so cuts fall
+        # both after an even and after an odd number of letters.
+        keyset = example_keyset()
+        sizes, cuts = [1, 3, 4097, 333, 65535, 7], [0]
+        while cuts[-1] < len(every_character):
+            cuts.append(cuts[-1] + sizes[len(cuts) % len(sizes)])
+        chunks = [every_character[a:b] for a, b in zip(cuts, cuts[1:])]
+        for mode in IndexMode:
+            letters_only = mode is IndexMode.LETTERS_ONLY
+            for decrypt in (False, True):
+                got = "".join(transform_stream(chunks, keyset, mode, decrypt=decrypt))
+                assert got == strict_walk(every_character, letters_only, decrypt)
+
     def test_long_s_passes_through(self, keyset: CascadeKeySet):
         for mode in IndexMode:
             assert encrypt_message("ſ", keyset, mode) == "ſ"

@@ -152,6 +152,16 @@ class TestPerLetterEquivalence:
     ):
         check_vigenere(message, alphabet, shifts)
 
+    def test_every_code_point(self, every_character: str):
+        message = every_character
+        assert shift_encrypt(message, 3) == per_letter(message, lambda i, j: (j + 3) % 29)
+        assert shift_decrypt(message, 3) == per_letter(message, lambda i, j: (j - 3) % 29)
+        assert atbash(message) == per_letter(message, lambda i, j: 28 - j)
+        # Periods one, two and thirteen, over each alphabet's letters.
+        for alphabet in (TURKISH, ENGLISH):
+            for shifts in ([3], [5, 17], list(range(2, 15))):
+                check_vigenere(message, alphabet, shifts)
+
     @given(tricky_texts, st.integers(min_value=0, max_value=2**32))
     @example(TRICKY, 0)
     def test_vernam(self, message: str, seed: int):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import pathlib
 import subprocess
 import sys
@@ -16,8 +18,11 @@ from dgcipher import (
     serialize_keyset,
     shift_encrypt,
 )
+from dgcipher.cli import build_parser
 
 CMD = [sys.executable, "-m", "dgcipher.cli"]
+COMMANDS = ("encrypt", "decrypt", "keygen", "keycheck", "classical", "analyze", "crack", "flatness")
+CIPHERS = ("shift", "atbash", "vigenere", "playfair", "polybius", "railfence", "scytale", "vernam")
 
 
 def run(*args: str, stdin: bytes = b"") -> tuple[int, bytes, bytes]:
@@ -415,3 +420,44 @@ class TestAnalysisCommands:
         )
         assert code == 2
         assert b"TooShort" in err
+
+
+def parse(parser, argv: list[str]) -> tuple[object, str, str]:
+    """What parsing argv returns or exits with, and what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+            result = {name: value for name, value in args.items() if name != "handler"}
+            result["handler"] = "handler" in args
+        except SystemExit as done:
+            result = ("exit", done.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParserForOneCommand:
+    """build_parser(argv) builds only the subparsers argv names; parsing
+    argv, help and errors must match the parser with every command."""
+
+    ARGVS = [
+        [], ["-h"], ["--help"], ["bogus"], ["--in", "x", "encrypt"], ["-h", "encrypt"],
+        ["encryp"], ["classical"], ["classical", "-h"], ["classical", "bogus"],
+        ["classical", "shif"], ["classical", "shift", "--k", "x"],
+        ["classical", "shift", "--k", "3", "--in", "a.txt"],
+        ["classical", "vernam", "--key", "A", "--key-file", "k"],
+        ["classical", "vigenere", "--key", "anahtar", "--alphabet", "turkish29", "--decrypt"],
+        ["encrypt", "--key", "paper", "--index-mode", "letters-only", "--verbose"],
+        ["encrypt", "--key", "paper", "--bogus"], ["encrypt", "--key", "paper", "extra"],
+        ["decrypt", "--key"], ["keygen", "--seed", "-1"], ["keygen", "--seed", "7", "--otp-length", "9"],
+        ["crack", "--reference", "r.txt", "--min-letters", "5", "--verbose"],
+        ["flatness", "--key", "paper", "--reference", "r.txt", "--format", "records"],
+        ["analyze", "--format", "csv"], ["analyze", "encrypt"],
+        *([command] for command in COMMANDS),
+        *([command, "--help"] for command in COMMANDS),
+        *(["classical", cipher] for cipher in CIPHERS),
+        *(["classical", cipher, "--help"] for cipher in CIPHERS),
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_as_the_full_parser(self, argv: list[str]):
+        assert parse(build_parser(argv), argv) == parse(build_parser(), argv)
