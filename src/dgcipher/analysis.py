@@ -144,19 +144,21 @@ class ShiftGuess(NamedTuple):
 
 
 def crack_shift(
-    ciphertext: str, reference: FrequencyTable, *, min_letters: int = 100
+    ciphertext: str | Iterable[str], reference: FrequencyTable, *, min_letters: int = 100
 ) -> ShiftGuess:
     """Recover a shift cipher's k by chi-squared scoring of all 29 shifts.
 
     Each candidate k is scored by decrypting with it and comparing the
     letter profile to the reference; the smallest distance wins, ties
     going to the smallest k. Texts under min_letters letters still return
-    a result, flagged low confidence.
+    a result, flagged low confidence. The ciphertext may come as an
+    iterable of chunks (a plain string counts as one chunk); only its
+    letter counts are kept.
 
     Raises:
         EmptyText: the ciphertext contains no letters.
     """
-    observed = letter_frequencies(ciphertext)
+    observed = build_reference_table(ciphertext)
     distances: list[float] = []
     for k in range(ALPHABET_SIZE):
         # Decrypting by k rotates the count row; no need to rewrite the text.

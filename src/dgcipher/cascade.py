@@ -11,7 +11,7 @@ Because every step is a fixed bijection, each group collapses to a single
 composite permutation, which the keyset computes once
 (CascadeKeySet.composite_rows) and composite_table() exposes. The whole
 cipher is therefore a period-two substitution: each composite row becomes
-a case-aware byte table, and text_model.translate_periodic sends the even
+a case-aware byte table, and text_model.translate_stream sends the even
 zero-based positions (or letter ordinals) through the GROUP1 table and
 the odd ones through the GROUP2 table.
 
@@ -31,7 +31,7 @@ from .text_model import (
     IndexMode,
     letter_index,
     substitution_table,
-    translate_periodic,
+    translate_stream,
 )
 
 # Annotation-only names; `typing` is not imported at run time.
@@ -66,11 +66,7 @@ def transform_stream(
     """
     rows = keyset.inverse_rows if decrypt else keyset.composite_rows
     tables = tuple(substitution_table(ALPHABET, row) for row in rows)
-    letters = LETTERS if mode is IndexMode.LETTERS_ONLY else None
-    phase = 0
-    for chunk in chunks:
-        out, phase = translate_periodic(chunk, tables, phase, letters)
-        yield out
+    return translate_stream(chunks, tables, LETTERS if mode is IndexMode.LETTERS_ONLY else None)
 
 
 def encrypt_message(

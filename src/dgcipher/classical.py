@@ -1,7 +1,9 @@
 """Classical ciphers over the 29-letter Turkish alphabet.
 
 Substitution ciphers (shift, atbash, vigenere, vernam) keep passthrough
-characters in place and preserve letter case. Grid and transposition
+characters in place and preserve letter case. Shift, atbash and vigenere
+also come as *_stream functions, which check their arguments at once and
+then transform a text delivered in chunks. Grid and transposition
 ciphers (playfair, polybius, rail fence, scytale) work on the letters
 alone and emit canonical uppercase, because their preprocessing already
 discards the original spacing.
@@ -9,9 +11,9 @@ discards the original spacing.
 
 from __future__ import annotations
 
-import string
+import re
 from math import ceil
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CircumferenceOutOfRange,
@@ -30,99 +32,94 @@ from .errors import (
     ShiftOutOfRange,
     WrongLength,
 )
-from .keyset import SplitMix64
 from .text_model import (
+    _FOLD_UPPER,
     ALPHABET,
     ALPHABET_SIZE,
     LETTERS,
     Alphabet,
-    LetterUnit,
     canonical_letters,
     substitution_table,
-    to_canonical,
     to_lower_tr,
     to_upper_tr,
-    translate_periodic,
+    translate_stream,
 )
 
-
-def _substitute(message: str, image: str) -> str:
-    """Send each letter ALPHABET[j] to image[j], keeping passthrough and case."""
-    return translate_periodic(message, (substitution_table(ALPHABET, image),))[0]
+_ASCII_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_ASCII_LETTERS = _ASCII_UPPER + _ASCII_UPPER.lower()
 
 
 # --- shift (rotation) ---
 
-def _check_shift(k: int) -> None:
+def shift_stream(chunks: Iterable[str], k: int, *, decrypt: bool = False) -> Iterator[str]:
+    """shift_encrypt (or, with decrypt, shift_decrypt) over chunks of one text."""
     if not 0 <= k < ALPHABET_SIZE:
         raise ShiftOutOfRange(f"shift must be in 0..{ALPHABET_SIZE - 1}: {k}")
+    k = -k % ALPHABET_SIZE if decrypt else k
+    return translate_stream(chunks, (substitution_table(ALPHABET, ALPHABET[k:] + ALPHABET[:k]),))
 
 
 def shift_encrypt(message: str, k: int) -> str:
     """Rotate every letter k places forward in the alphabet, modulo 29."""
-    _check_shift(k)
-    return _substitute(message, ALPHABET[k:] + ALPHABET[:k])
+    return "".join(shift_stream([message], k))
 
 
 def shift_decrypt(message: str, k: int) -> str:
     """Invert shift_encrypt with the same k."""
-    _check_shift(k)
-    return shift_encrypt(message, (ALPHABET_SIZE - k) % ALPHABET_SIZE)
+    return "".join(shift_stream([message], k, decrypt=True))
 
 
 # --- atbash (alphabet reversal) ---
 
+def atbash_stream(chunks: Iterable[str]) -> Iterator[str]:
+    """atbash over chunks of one text."""
+    return translate_stream(chunks, (substitution_table(ALPHABET, ALPHABET[::-1]),))
+
+
 def atbash(message: str) -> str:
     """Mirror every letter across the alphabet; its own inverse."""
-    return _substitute(message, ALPHABET[::-1])
+    return "".join(atbash_stream([message]))
 
 
 # --- vigenere (running key) ---
 
-def _classify(char: str, alphabet: Alphabet) -> LetterUnit | None:
-    """Canonical letter of char in the chosen alphabet, or None.
+def _key_letters(key: str, alphabet: Alphabet) -> str:
+    """Canonicalize a key: whitespace is ignored, anything else must be a letter.
 
     Membership is strict: english26 takes ASCII letters only, so Turkish
     dotless/dotted i never fold into ASCII I, and turkish29 takes exactly
     the 29 canonical letters and their lowercase forms.
     """
-    if alphabet is Alphabet.TURKISH29:
-        unit = to_canonical(char)
-        return unit if isinstance(unit, LetterUnit) else None
-    if "A" <= char <= "Z":
-        return LetterUnit(char, False)
-    if "a" <= char <= "z":
-        return LetterUnit(char.upper(), True)
-    return None
-
-
-def _key_letters(key: str, alphabet: Alphabet) -> str:
-    """Canonicalize a key: whitespace is ignored, anything else must be a letter."""
-    kept: list[str] = []
-    for char in key:
-        if char.isspace():
-            continue
-        unit = _classify(char, alphabet)
-        if unit is None:
-            raise KeyLetterOutsideAlphabet(f"key character {char!r} is outside the alphabet")
-        kept.append(unit.letter)
+    letters = LETTERS if alphabet is Alphabet.TURKISH29 else _ASCII_LETTERS
+    kept = "".join(key.split())
+    outside = re.search(f"[^{letters}]", kept)
+    if outside:
+        raise KeyLetterOutsideAlphabet(f"key character {outside[0]!r} is outside the alphabet")
     if not kept:
         raise EmptyKey("key contains no letters")
-    return "".join(kept)
+    return kept.translate(_FOLD_UPPER) if alphabet is Alphabet.TURKISH29 else kept.upper()
 
 
-def _vigenere(message: str, key: str, alphabet: Alphabet, sign: int) -> str:
+def _running_key(
+    chunks: Iterable[str], key_letters: str, alphabet: Alphabet, sign: int
+) -> Iterator[str]:
     if alphabet is Alphabet.ENGLISH26:
-        letters, lower, counted = string.ascii_uppercase, str.lower, string.ascii_letters
+        letters, lower, counted = _ASCII_UPPER, str.lower, _ASCII_LETTERS
     else:
         letters, lower, counted = ALPHABET, to_lower_tr, LETTERS
-    key_letters = _key_letters(key, alphabet)
     tables = {}
     for letter in set(key_letters):
         k = sign * letters.index(letter) % len(letters)
         tables[letter] = substitution_table(letters, letters[k:] + letters[:k], lower)
     # Period len(key), counted over letters: passthrough does not consume a key letter.
-    return translate_periodic(message, [tables[c] for c in key_letters], 0, counted)[0]
+    return translate_stream(chunks, [tables[c] for c in key_letters], counted)
+
+
+def vigenere_stream(
+    chunks: Iterable[str], key: str, alphabet: Alphabet = Alphabet.ENGLISH26, *, decrypt: bool = False
+) -> Iterator[str]:
+    """vigenere_encrypt (or, with decrypt, vigenere_decrypt) over chunks of one text."""
+    return _running_key(chunks, _key_letters(key, alphabet), alphabet, -1 if decrypt else 1)
 
 
 def vigenere_encrypt(message: str, key: str, alphabet: Alphabet = Alphabet.ENGLISH26) -> str:
@@ -131,12 +128,12 @@ def vigenere_encrypt(message: str, key: str, alphabet: Alphabet = Alphabet.ENGLI
     The key advances on enciphered letters only. With ENGLISH26 the case
     rules are plain ASCII; with TURKISH29 the Turkish i rules apply.
     """
-    return _vigenere(message, key, alphabet, +1)
+    return "".join(vigenere_stream([message], key, alphabet))
 
 
 def vigenere_decrypt(message: str, key: str, alphabet: Alphabet = Alphabet.ENGLISH26) -> str:
     """Invert vigenere_encrypt with the same key and alphabet."""
-    return _vigenere(message, key, alphabet, -1)
+    return "".join(vigenere_stream([message], key, alphabet, decrypt=True))
 
 
 # --- playfair (5x5 digram cipher) ---
@@ -307,23 +304,18 @@ def polybius_encode(message: str, spec: PolybiusSpec | None = None) -> str:
     decode, so keep them out of messages that must round-trip.
     """
     spec = spec or canonical_grid()
-    out: list[str] = []
-    run: list[str] = []
-    for char in message:
-        unit = to_canonical(char)
-        if isinstance(unit, LetterUnit):
-            where = spec.grid.find(unit.letter)
-            if where < 0:
-                raise LetterNotInGrid(f"letter {unit.letter} is not in the grid")
-            run.append(f"{where // spec.cols + 1}{where % spec.cols + 1}")
-        else:
-            if run:
-                out.append("-".join(run))
-                run.clear()
-            out.append(unit.raw)
-    if run:
-        out.append("-".join(run))
-    return "".join(out)
+    codes = {
+        letter: f"{where // spec.cols + 1}{where % spec.cols + 1}"
+        for where, letter in enumerate(spec.grid)
+    }
+
+    def encode_run(run: re.Match[str]) -> str:
+        try:
+            return "-".join([codes[letter] for letter in run[0].translate(_FOLD_UPPER)])
+        except KeyError as missing:
+            raise LetterNotInGrid(f"letter {missing.args[0]} is not in the grid") from None
+
+    return re.sub(f"[{LETTERS}]+", encode_run, message)
 
 
 def polybius_decode(code: str, spec: PolybiusSpec | None = None) -> str:
@@ -351,98 +343,69 @@ def polybius_decode(code: str, spec: PolybiusSpec | None = None) -> str:
     return "".join(out)
 
 
-# --- rail fence (zigzag transposition) ---
+# --- rail fence and scytale (transpositions) ---
 
-def _rail_pattern(count: int, rails: int) -> list[int]:
-    pattern: list[int] = []
-    rail, step = 0, 1
-    for _ in range(count):
-        pattern.append(rail)
-        if rail == 0:
-            step = 1
-        elif rail == rails - 1:
-            step = -1
-        rail += step
-    return pattern
+def _reorder(letters: str, order: list[int], decrypt: bool) -> str:
+    # Encryption reads the letter at each position of order in turn;
+    # decryption puts each letter back at its position.
+    if decrypt:
+        return "".join(letter for _, letter in sorted(zip(order, letters)))
+    return "".join(letters[i] for i in order)
+
+
+def _rail_fence(message: str, rails: int, decrypt: bool) -> str:
+    if rails < 1:
+        raise RailsOutOfRange(f"rails must be at least 1: {rails}")
+    letters = canonical_letters(message)
+    # The zigzag repeats every 2 * rails - 2 letters; at step r of a cycle
+    # it is on rail min(r, cycle - r). Rails are read top to bottom.
+    cycle = max(2 * rails - 2, 1)
+    order = sorted(range(len(letters)), key=lambda i: min(i % cycle, cycle - i % cycle))
+    return _reorder(letters, order, decrypt)
 
 
 def rail_fence_encrypt(message: str, rails: int) -> str:
     """Write the letters in a zigzag over the rails, read rail by rail."""
-    if rails < 1:
-        raise RailsOutOfRange(f"rails must be at least 1: {rails}")
-    letters = canonical_letters(message)
-    if rails == 1:
-        return letters
-    fence: list[list[str]] = [[] for _ in range(rails)]
-    for letter, rail in zip(letters, _rail_pattern(len(letters), rails)):
-        fence[rail].append(letter)
-    return "".join("".join(rail) for rail in fence)
+    return _rail_fence(message, rails, False)
 
 
 def rail_fence_decrypt(message: str, rails: int) -> str:
     """Invert rail_fence_encrypt; the original spacing is not restored."""
-    if rails < 1:
-        raise RailsOutOfRange(f"rails must be at least 1: {rails}")
-    letters = canonical_letters(message)
-    if rails == 1:
-        return letters
-    pattern = _rail_pattern(len(letters), rails)
-    counts = [pattern.count(r) for r in range(rails)]
-    rail_iters = []
-    start = 0
-    for count in counts:
-        rail_iters.append(iter(letters[start:start + count]))
-        start += count
-    return "".join(next(rail_iters[rail]) for rail in pattern)
+    return _rail_fence(message, rails, True)
 
 
-# --- scytale (rod transposition) ---
-
-def scytale_encrypt(message: str, circumference: int) -> str:
-    """Fill circumference rows in row-major order, read column by column."""
+def _scytale(message: str, circumference: int, decrypt: bool) -> str:
     if circumference < 1:
         raise CircumferenceOutOfRange(f"circumference must be at least 1: {circumference}")
     letters = canonical_letters(message)
-    if not letters:
-        return ""
     cols = ceil(len(letters) / circumference)
-    return "".join(
-        letters[row * cols + col]
-        for col in range(cols)
-        for row in range(circumference)
-        if row * cols + col < len(letters)
-    )
+    return _reorder(letters, sorted(range(len(letters)), key=lambda i: i % cols), decrypt)
+
+
+def scytale_encrypt(message: str, circumference: int) -> str:
+    """Fill circumference rows in row-major order, read column by column."""
+    return _scytale(message, circumference, False)
 
 
 def scytale_decrypt(message: str, circumference: int) -> str:
     """Invert scytale_encrypt for the same circumference."""
-    if circumference < 1:
-        raise CircumferenceOutOfRange(f"circumference must be at least 1: {circumference}")
-    letters = canonical_letters(message)
-    if not letters:
-        return ""
-    cols = ceil(len(letters) / circumference)
-    plain: list[str] = [""] * len(letters)
-    source = iter(letters)
-    for col in range(cols):
-        for row in range(circumference):
-            where = row * cols + col
-            if where < len(letters):
-                plain[where] = next(source)
-    return "".join(plain)
+    return _scytale(message, circumference, True)
 
 
 # --- vernam (one-time running key) ---
 
 def _vernam(message: str, key: str, sign: int) -> str:
-    key_letters = _key_letters(key, Alphabet.TURKISH29) if any(not c.isspace() for c in key) else ""
+    try:
+        key_letters = _key_letters(key, Alphabet.TURKISH29)
+    except EmptyKey:
+        key_letters = ""
     needed = len(canonical_letters(message))
     if needed > len(key_letters):
         raise KeyTooShort(f"message has {needed} letters, key has {len(key_letters)}")
     if not needed:
         return message
     # A running key as long as the message is a Vigenère key that never repeats.
-    return _vigenere(message, key_letters[:needed], Alphabet.TURKISH29, sign)
+    return "".join(_running_key([message], key_letters[:needed], Alphabet.TURKISH29, sign))
 
 
 def vernam_encrypt(message: str, key: str) -> str:
@@ -463,5 +426,7 @@ def otp_keygen(length: int, seed: int) -> str:
     """Generate a deterministic uniform letter key of the given length."""
     if length < 0:
         raise ValueError(f"length must not be negative: {length}")
+    from .keyset import SplitMix64
+
     rng = SplitMix64(seed)
     return "".join(ALPHABET[rng.below(ALPHABET_SIZE)] for _ in range(length))

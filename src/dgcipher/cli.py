@@ -227,7 +227,7 @@ def _polybius_spec(args: argparse.Namespace, parser: _Parser) -> PolybiusSpec:
 def _cmd_classical(args: argparse.Namespace, parser: _Parser) -> int:
     from .classical import (
         PlayfairSpec,
-        atbash,
+        atbash_stream,
         playfair_decrypt,
         playfair_encrypt,
         polybius_decode,
@@ -236,26 +236,29 @@ def _cmd_classical(args: argparse.Namespace, parser: _Parser) -> int:
         rail_fence_encrypt,
         scytale_decrypt,
         scytale_encrypt,
-        shift_decrypt,
-        shift_encrypt,
+        shift_stream,
         vernam_decrypt,
         vernam_encrypt,
-        vigenere_decrypt,
-        vigenere_encrypt,
+        vigenere_stream,
     )
 
-    text = "".join(_input_chunks(args.infile))
+    chunks = _input_chunks(args.infile)
     decrypt = args.decrypt
     cipher = args.cipher
-    trailing = ""
+    # The substitution ciphers stream their input chunk by chunk.
     if cipher == "shift":
-        result = (shift_decrypt if decrypt else shift_encrypt)(text, args.k)
-    elif cipher == "atbash":
-        result = atbash(text)
-    elif cipher == "vigenere":
-        op = vigenere_decrypt if decrypt else vigenere_encrypt
-        result = op(text, args.key, Alphabet(args.alphabet))
-    elif cipher == "playfair":
+        _write_all(args.outfile, shift_stream(chunks, args.k, decrypt=decrypt))
+        return 0
+    if cipher == "atbash":
+        _write_all(args.outfile, atbash_stream(chunks))
+        return 0
+    if cipher == "vigenere":
+        alphabet = Alphabet(args.alphabet)
+        _write_all(args.outfile, vigenere_stream(chunks, args.key, alphabet, decrypt=decrypt))
+        return 0
+    text = "".join(chunks)
+    trailing = ""
+    if cipher == "playfair":
         spec = PlayfairSpec(keyword=args.keyword, padding=args.padding)
         result = (playfair_decrypt if decrypt else playfair_encrypt)(text, spec)
         trailing = "\n"
@@ -299,8 +302,7 @@ def _cmd_crack(args: argparse.Namespace) -> int:
     from .analysis import crack_shift
 
     reference = _letter_table(args.reference)
-    text = "".join(_input_chunks(args.infile))
-    guess = crack_shift(text, reference, min_letters=args.min_letters)
+    guess = crack_shift(_input_chunks(args.infile), reference, min_letters=args.min_letters)
     if guess.low_confidence:
         print(
             f"warning: fewer than {args.min_letters} letters; low confidence",

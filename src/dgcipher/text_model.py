@@ -20,6 +20,11 @@ builds one case-aware bytes.translate table over Latin-5 (ISO-8859-9),
 which holds the 58 Turkish letter forms and the 52 ASCII letters in one
 byte each, and translate_periodic applies a tuple of them to the text's
 Latin-5 bytes, so no cipher walks a message one character at a time.
+Counted over all characters, each strided slice takes one translate.
+Counted over letters, period two picks each byte from the text translated
+by either table; any other period translates the letters alone and
+scatters them back through one "%c" template. translate_stream carries
+the phase from one chunk of a text to the next.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import NonCanonicalSymbol
 # Annotation-only names; `typing` is not imported at run time.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable, Sequence
+    from collections.abc import Callable, Iterable, Iterator, Sequence
 
 ALPHABET = "ABCÇDEFGĞHIİJKLMNOÖPRSŞTUÜVYZ"
 LOWERCASE = "abcçdefgğhıijklmnoöprsştuüvyz"
@@ -120,8 +125,22 @@ def translate_periodic(
     elif period == 2:  # counted is then the letter count's parity
         out, counted = _by_parity(data, tables, phase, letters.encode(_LATIN5))
     else:
-        out, counted = _by_runs(data, tables, phase, letters.encode(_LATIN5))
+        out, counted = _scattered(data, tables, phase, letters.encode(_LATIN5))
     return _decode(out, text), (phase + counted) % period
+
+
+def translate_stream(
+    chunks: Iterable[str], tables: Sequence[bytes], letters: str | None = None
+) -> Iterator[str]:
+    """translate_periodic over a text delivered in chunks, yielding output chunks.
+
+    The phase is carried from one chunk to the next: one stream is one
+    text, however it is split, so memory use is bounded by chunk size.
+    """
+    phase = 0
+    for chunk in chunks:
+        out, phase = translate_periodic(chunk, tables, phase, letters)
+        yield out
 
 
 def _strided(data: bytes, tables: Sequence[bytes], phase: int) -> bytearray:
@@ -158,18 +177,19 @@ def _by_parity(
     return chosen.to_bytes(size, "little"), total
 
 
-def _by_runs(
+def _scattered(
     data: bytes, tables: Sequence[bytes], phase: int, letters: bytes
 ) -> tuple[bytes, int]:
-    # Any period over letters: cut out the letter runs, translate them as
-    # one string and put them back. The pattern's one capturing group
-    # leaves the runs at the odd indices of re.split's result.
-    parts = re.split(b"([" + re.escape(letters) + b"]+)", data)
-    runs = parts[1::2]
-    mapped = _strided(b"".join(runs), tables, phase)
-    ends = list(accumulate(map(len, runs)))
-    parts[1::2] = [mapped[start:end] for start, end in zip([0, *ends], ends)]
-    return b"".join(parts), len(mapped)
+    # Any period over letters: translate the letters alone, then put them
+    # back with one C-level format. The template is the text with "%"
+    # escaped and each letter byte turned into "%c".
+    others = bytes(byte for byte in range(256) if byte not in letters)
+    mapped = _strided(data.translate(None, others), tables, phase)
+    marker = letters[:1]
+    template = data.replace(b"%", b"%%").translate(
+        bytes.maketrans(letters, marker * len(letters))
+    ).replace(marker, b"%c")
+    return template % tuple(mapped), len(mapped)
 
 
 def _decode(data: bytes | bytearray, text: str) -> str:

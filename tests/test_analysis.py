@@ -298,6 +298,15 @@ class TestCrackShift:
     def test_empty(self, reference: FrequencyTable):
         with pytest.raises(EmptyText):
             crack_shift("?!", reference)
+        with pytest.raises(EmptyText):
+            crack_shift(iter(["?", "", "!"]), reference)
+
+    def test_chunks_give_the_whole_text_answer(self, corpus_text: str, reference: FrequencyTable):
+        shifted = shift_encrypt(corpus_text[:3000], 11)
+        whole = crack_shift(shifted, reference, min_letters=2000)
+        chunks = (shifted[i:i + 97] for i in range(0, len(shifted), 97))
+        assert crack_shift(chunks, reference, min_letters=2000) == whole
+        assert whole.shift == 11
 
 
 class TestFlatnessReport:

@@ -48,6 +48,7 @@ from dgcipher import (
     vigenere_decrypt,
     vigenere_encrypt,
 )
+from dgcipher.classical import atbash_stream, shift_stream, vigenere_stream
 
 LETTER_CHARS = ALPHABET + LOWERCASE
 MESSAGE_CHARS = LETTER_CHARS + " .,!?\n"
@@ -85,6 +86,13 @@ unpaired_texts = st.text(
     | st.sampled_from(LETTER_CHARS + string.ascii_letters + " "),
     max_size=40,
 )
+
+
+PERCENT_TEXTS = [
+    "%", "%%", "%c", "%s", "%(k)s", "%%c%c%s%(k)s%", "a%b", "%Gazi%", "%%İş%%",
+    "%ç%ı%", "100% İyi, %d %r %a %x %%%", "%(Ş)c" + TRICKY + "%",
+]
+percent_texts = st.text(alphabet=st.sampled_from("%%%c(k)sdS İış" + LETTER_CHARS), max_size=40)
 
 
 def per_letter(message: str, image_index, alphabet: tuple[str, str] = TURKISH) -> str:
@@ -168,6 +176,53 @@ class TestPerLetterEquivalence:
         key = otp_keygen(len(message) + 3, seed)
         want = per_letter(message, lambda i, j: (j + ALPHABET.index(key[i])) % 29)
         assert vernam_encrypt(message, key) == want
+
+    # Over letters, every period but two puts the translated letters back
+    # through a "%" format template, so "%" and format syntax must come
+    # out as themselves, wherever they stand.
+    @pytest.mark.parametrize("message", PERCENT_TEXTS)
+    def test_percent_signs(self, message: str):
+        for alphabet in (TURKISH, ENGLISH):
+            for period in (1, 3, 5, 13):
+                check_vigenere(message, alphabet, list(range(2, 2 + period)))
+        key = otp_keygen(len(message), 11)
+        want = per_letter(message, lambda i, j: (j + ALPHABET.index(key[i])) % 29)
+        assert vernam_encrypt(message, key) == want
+
+    @given(
+        percent_texts,
+        st.sampled_from([TURKISH, ENGLISH]),
+        st.lists(st.integers(min_value=0, max_value=28), min_size=1, max_size=15),
+    )
+    def test_percent_heavy_texts(self, message: str, alphabet: tuple[str, str], shifts: list[int]):
+        check_vigenere(message, alphabet, shifts)
+
+
+class TestStreams:
+    @given(tricky_texts, st.lists(st.integers(min_value=0, max_value=40), max_size=4))
+    @example("a%b" + TRICKY + "Gazi", [1, 2, 3])
+    def test_any_split_equals_the_whole_text(self, message: str, cuts: list[int]):
+        pieces = [message[a:b] for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), len(message)])]
+        for decrypt in (False, True):
+            shift_op = shift_decrypt if decrypt else shift_encrypt
+            assert "".join(shift_stream(pieces, 5, decrypt=decrypt)) == shift_op(message, 5)
+            for alphabet in Alphabet:
+                op = vigenere_decrypt if decrypt else vigenere_encrypt
+                streamed = vigenere_stream(pieces, "Kalem", alphabet, decrypt=decrypt)
+                assert "".join(streamed) == op(message, "Kalem", alphabet)
+        assert "".join(atbash_stream(pieces)) == atbash(message)
+
+    def test_arguments_are_checked_before_any_chunk_is_read(self):
+        def chunks():
+            raise AssertionError("read")
+            yield ""
+
+        with pytest.raises(ShiftOutOfRange):
+            shift_stream(chunks(), 29)
+        with pytest.raises(EmptyKey):
+            vigenere_stream(chunks(), " ")
+        with pytest.raises(KeyLetterOutsideAlphabet):
+            vigenere_stream(chunks(), "ş", Alphabet.ENGLISH26)
 
 
 class TestShift:

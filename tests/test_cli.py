@@ -11,14 +11,20 @@ import pytest
 from dgcipher import (
     ALPHABET,
     LOWERCASE,
+    Alphabet,
+    atbash,
     encrypt_message,
     example_keyset,
     generate_keyset,
     parse_keyset,
     serialize_keyset,
+    shift_decrypt,
     shift_encrypt,
+    vigenere_decrypt,
+    vigenere_encrypt,
 )
 from dgcipher.cli import build_parser
+from dgcipher.text_model import canonical_letters
 
 CMD = [sys.executable, "-m", "dgcipher.cli"]
 COMMANDS = ("encrypt", "decrypt", "keygen", "keycheck", "classical", "analyze", "crack", "flatness")
@@ -330,6 +336,60 @@ class TestClassicalCommands:
         code, _, err = run("classical", "vernam", "--key", "K", stdin=b"TT")
         assert code == 2
         assert b"KeyTooShort" in err
+
+
+class TestStreamedClassical:
+    # Shift, atbash and vigenere read 64 KiB at a time. The first read ends
+    # inside the two bytes of "ş", and 46,811 letters before it is no
+    # multiple of the key's five letters, so the key phase must carry over.
+    TEXT = ("abc%d e" * 9363)[:65535] + "ş" + "Üniversite ığ, %s %(k)c.\n" * 5000
+    CALLS = [
+        (("shift", "--k", "7"), lambda t: shift_encrypt(t, 7)),
+        (("shift", "--k", "7", "--decrypt"), lambda t: shift_decrypt(t, 7)),
+        (("atbash",), atbash),
+        (("atbash", "--decrypt"), atbash),
+        (("vigenere", "--key", "Kalem"), lambda t: vigenere_encrypt(t, "Kalem")),
+        (("vigenere", "--key", "Kalem", "--decrypt"), lambda t: vigenere_decrypt(t, "Kalem")),
+        (
+            ("vigenere", "--key", "Kalem", "--alphabet", "turkish29"),
+            lambda t: vigenere_encrypt(t, "Kalem", Alphabet.TURKISH29),
+        ),
+        (
+            ("vigenere", "--key", "Kalem", "--alphabet", "turkish29", "--decrypt"),
+            lambda t: vigenere_decrypt(t, "Kalem", Alphabet.TURKISH29),
+        ),
+    ]
+
+    def test_input_is_cut_inside_a_letter_after_a_partial_key(self):
+        data = self.TEXT.encode()
+        assert len(data) > 2 * 65536
+        assert data[65535:65537] == "ş".encode()
+        assert len(canonical_letters(self.TEXT[:65535])) % 5
+
+    @pytest.mark.parametrize("argv, whole", CALLS)
+    def test_streamed_output_equals_the_whole_text_function(self, argv, whole):
+        code, out, err = run("classical", *argv, stdin=self.TEXT.encode())
+        assert (code, err) == (0, b"")
+        got, want = out.decode(), whole(self.TEXT)
+        # The first differing index, not a diff of two 190,536-char strings.
+        assert len(got) == len(want)
+        assert next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None) is None
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in CALLS])
+    def test_bad_utf8_after_the_first_chunk_leaves_out_untouched(
+        self, tmp_path: pathlib.Path, argv: tuple[str, ...]
+    ):
+        source = tmp_path / "bad.txt"
+        source.write_bytes(self.TEXT.encode()[:200000] + b"\xff tail")
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"previous contents")
+        code, out, err = run(
+            "classical", *argv, "--in", str(source), "--out", str(target)
+        )
+        assert (code, out) == (2, b"")
+        assert f"invalid UTF-8 in {source} at byte 200000".encode() in err
+        assert target.read_bytes() == b"previous contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "out.txt"]
 
 
 class TestAnalysisCommands:

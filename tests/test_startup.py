@@ -53,6 +53,7 @@ _ENV = {
 }
 _HEAVY = {"dgcipher.classical", "dgcipher.analysis", "dataclasses"}
 _NO_CIPHERS = {"dgcipher.cascade", "dgcipher.classical", "dataclasses"}
+_SUBSTITUTION = {"dgcipher.analysis", "dgcipher.keyset", "dgcipher.cascade", "dataclasses", "string"}
 
 
 def _modules(
@@ -99,12 +100,14 @@ def workdir(tmp_path_factory: pytest.TempPathFactory, corpus_text: str) -> pathl
         ("analyze --in msg.txt --out out.txt", _NO_CIPHERS),
         ("crack --reference corpus.txt --in msg.txt --out out.txt", _NO_CIPHERS),
         ("flatness --key paper --reference corpus.txt --in corpus.txt --out out.txt", _NO_CIPHERS),
-        ("classical vigenere --key anahtar --in msg.txt --out out.txt", {"dgcipher.analysis", "dataclasses"}),
+        ("classical vigenere --key anahtar --in msg.txt --out out.txt", _SUBSTITUTION),
         (
             "flatness --key key.txt --index-mode letters-only --format records"
             " --reference corpus.txt --in corpus.txt --out out.txt",
             _NO_CIPHERS,
         ),
+        ("classical shift --k 3 --in msg.txt --out out.txt", _SUBSTITUTION),
+        ("classical atbash --decrypt --in msg.txt --out out.txt", _SUBSTITUTION),
     ],
 )
 def test_cli_call_loads_only_what_it_runs(bare, workdir, argv: str, absent: set[str]):
