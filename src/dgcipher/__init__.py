@@ -7,8 +7,9 @@ alphabet, letter frequency analysis tools, and a command line front end.
 Every public name is importable from the package, but its module is only
 loaded when the name is first used (PEP 562), so a CLI call pays for the
 modules its subcommand runs and no more. For the same reason the records
-are named tuples or small plain classes: `dataclasses` imports `inspect`,
-which would add several milliseconds to every call.
+are `collections.namedtuple` subclasses or small plain classes, and no
+call path imports `dataclasses` (which imports `inspect`) or `typing`:
+either would add milliseconds to every call.
 """
 
 from importlib import import_module
@@ -91,7 +92,6 @@ _EXPORTS = {
         "keyspace_size",
         "parse_keyset",
         "serialize_keyset",
-        "validate_alphabet",
     ),
     "text_model": (
         "ALPHABET",
@@ -100,17 +100,9 @@ _EXPORTS = {
         "LOWERCASE",
         "Group",
         "IndexMode",
-        "LetterUnit",
-        "MessageUnit",
-        "Passthrough",
-        "group_for_position",
-        "letter_at",
         "letter_index",
-        "render",
-        "to_canonical",
         "to_lower_tr",
         "to_upper_tr",
-        "tokenize",
     ),
 }
 # Public name -> the submodule that defines it.

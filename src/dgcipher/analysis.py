@@ -9,7 +9,7 @@ build one from a corpus with build_reference_table.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from collections import namedtuple
 
 from .errors import EmptyText, ShiftOutOfRange, TooShort
 from .text_model import (
@@ -22,21 +22,24 @@ from .text_model import (
     translate_periodic,
 )
 
+# Annotation-only names; `typing` is not imported at run time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Mapping
+
     from .keyset import CascadeKeySet
 
 CHI_SQUARED_FLOOR = 1e-6
 
 
-class FrequencyTable(NamedTuple):
+class FrequencyTable(namedtuple("FrequencyTable", "counts total_letters")):
     """Letter counts over a text; every canonical letter has an entry.
 
     Frequencies are derived from the integer counts on demand, so tables
     over a doubled corpus compare equal on .frequencies exactly.
     """
 
-    counts: Mapping[str, int]
-    total_letters: int
+    __slots__ = ()
 
     def frequency(self, letter: str) -> float:
         return self.counts[letter] / self.total_letters
@@ -96,10 +99,10 @@ def build_reference_table(chunks: Iterable[str]) -> FrequencyTable:
     return _table_from_counts(counts)
 
 
-class SubstitutionGuess(NamedTuple):
+class SubstitutionGuess(namedtuple("SubstitutionGuess", "mapping")):
     """A guessed ciphertext-to-plaintext letter map from rank matching."""
 
-    mapping: Mapping[str, str]
+    __slots__ = ()
 
     def apply(self, text: str) -> str:
         """Rewrite a text through the guess, keeping passthrough and case."""
@@ -135,12 +138,10 @@ def chi_squared_distance(observed: FrequencyTable, expected: FrequencyTable) -> 
     return total
 
 
-class ShiftGuess(NamedTuple):
+class ShiftGuess(namedtuple("ShiftGuess", "shift low_confidence distances")):
     """Result of crack_shift: the best shift and its score context."""
 
-    shift: int
-    low_confidence: bool
-    distances: tuple[float, ...]
+    __slots__ = ()
 
 
 def crack_shift(
@@ -178,19 +179,13 @@ def crack_shift(
     )
 
 
-class FlatnessReport(NamedTuple):
+class FlatnessReport(namedtuple("FlatnessReport", (
+    "total_letters shift_k index_mode plain_table shift_table cascade_table"
+    " shift_accuracy cascade_accuracy shift_chi_squared cascade_chi_squared"
+))):
     """Side-by-side profile of a plaintext, its shift image, and its cascade image."""
 
-    total_letters: int
-    shift_k: int
-    index_mode: IndexMode
-    plain_table: FrequencyTable
-    shift_table: FrequencyTable
-    cascade_table: FrequencyTable
-    shift_accuracy: float
-    cascade_accuracy: float
-    shift_chi_squared: float
-    cascade_chi_squared: float
+    __slots__ = ()
 
     def render_text(self) -> str:
         """Human-readable report."""

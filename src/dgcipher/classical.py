@@ -12,8 +12,8 @@ discards the original spacing.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from math import ceil
-from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CircumferenceOutOfRange,
@@ -44,6 +44,11 @@ from .text_model import (
     to_upper_tr,
     translate_stream,
 )
+
+# Annotation-only names; `typing` is not imported at run time.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 _ASCII_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _ASCII_LETTERS = _ASCII_UPPER + _ASCII_UPPER.lower()
@@ -151,11 +156,10 @@ _CELLS_CANONICAL = tuple(
 )
 
 
-class PlayfairSpec(NamedTuple):
+class PlayfairSpec(namedtuple("PlayfairSpec", "keyword padding", defaults=("M",))):
     """Parameters for the digram cipher: a keyword and a padding letter."""
 
-    keyword: str
-    padding: str = "M"
+    __slots__ = ()
 
 
 class PlayfairTable:
@@ -257,18 +261,7 @@ def playfair_decrypt(message: str, spec: PlayfairSpec) -> str:
 
 # --- polybius (coordinate grid) ---
 
-_DIGITS = "0123456789"
-
-
-class _PolybiusGrid(NamedTuple):
-    """The fields of PolybiusSpec, which checks them on construction."""
-
-    rows: int
-    cols: int
-    grid: str
-
-
-class PolybiusSpec(_PolybiusGrid):
+class PolybiusSpec(namedtuple("PolybiusSpec", "rows cols grid")):
     """A rows x cols letter grid, row-major, short last row allowed."""
 
     __slots__ = ()
@@ -295,6 +288,14 @@ def canonical_grid() -> PolybiusSpec:
     return PolybiusSpec(rows=5, cols=6, grid=ALPHABET)
 
 
+def _codes(spec: PolybiusSpec) -> dict[str, str]:
+    # Each grid letter's "<row><col>" code, 1-based.
+    return {
+        letter: f"{where // spec.cols + 1}{where % spec.cols + 1}"
+        for where, letter in enumerate(spec.grid)
+    }
+
+
 def polybius_encode(message: str, spec: PolybiusSpec | None = None) -> str:
     """Encode each letter as "<row><col>" (1-based digits).
 
@@ -303,11 +304,7 @@ def polybius_encode(message: str, spec: PolybiusSpec | None = None) -> str:
     dashes already present in the message make the output ambiguous to
     decode, so keep them out of messages that must round-trip.
     """
-    spec = spec or canonical_grid()
-    codes = {
-        letter: f"{where // spec.cols + 1}{where % spec.cols + 1}"
-        for where, letter in enumerate(spec.grid)
-    }
+    codes = _codes(spec or canonical_grid())
 
     def encode_run(run: re.Match[str]) -> str:
         try:
@@ -321,26 +318,21 @@ def polybius_encode(message: str, spec: PolybiusSpec | None = None) -> str:
 def polybius_decode(code: str, spec: PolybiusSpec | None = None) -> str:
     """Decode digit pairs back to letters; "-" separators are dropped and
     any other character passes through verbatim."""
-    spec = spec or canonical_grid()
-    out: list[str] = []
-    i = 0
-    while i < len(code):
-        char = code[i]
-        if char in _DIGITS:
-            if i + 1 >= len(code) or code[i + 1] not in _DIGITS:
-                raise MalformedDigitPair(f"lone digit at position {i}")
-            row, col = int(code[i]), int(code[i + 1])
-            where = (row - 1) * spec.cols + (col - 1)
-            if not (1 <= row <= spec.rows and 1 <= col <= spec.cols) or where >= len(spec.grid):
-                raise MalformedDigitPair(f"no grid cell at {row}{col}")
-            out.append(spec.grid[where])
-            i += 2
-        elif char == "-":
-            i += 1
-        else:
-            out.append(char)
-            i += 1
-    return "".join(out)
+    letters = {pair: letter for letter, pair in _codes(spec or canonical_grid()).items()}
+
+    def decode_token(token: re.Match[str]) -> str:
+        # Tokens come left to right, so the first bad one raises.
+        if token[0] == "-":
+            return ""
+        if len(token[0]) == 1:
+            raise MalformedDigitPair(f"lone digit at position {token.start()}")
+        try:
+            return letters[token[0]]
+        except KeyError:
+            raise MalformedDigitPair(f"no grid cell at {token[0]}") from None
+
+    # ASCII digits only: other Unicode digits pass through.
+    return re.sub("[0-9]{1,2}|-", decode_token, code)
 
 
 # --- rail fence and scytale (transpositions) ---

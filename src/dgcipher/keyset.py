@@ -35,12 +35,12 @@ from .errors import (
     SeedOutOfRange,
     WrongLength,
 )
-from .text_model import ALPHABET, ALPHABET_SIZE, Group, letter_index
+from .text_model import ALPHABET, ALPHABET_SIZE
 
 # Annotation-only names; `typing` is not imported at run time.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Iterator
 
 HEADER = "CASCADE-KEYS v1"
 ROW_LABELS = ("G1S1", "G1S2", "G1S3", "G2S1", "G2S2", "G2S3", "FINAL")
@@ -54,42 +54,26 @@ class SubstitutionAlphabet:
 
     letters[j] is the image of the canonical letter with index j, so the
     row is also how one line of a key file reads.
+
+    Raises:
+        WrongLength: not exactly 29 letters.
+        NonCanonicalSymbol: a letter is not a canonical uppercase letter.
+        DuplicateLetter: a letter repeats.
     """
 
-    __slots__ = ("letters", "_position")
+    __slots__ = ("letters",)
 
-    def __init__(self, letters: str | Iterable[str]):
-        row = letters if isinstance(letters, str) else "".join(letters)
-        if len(row) != ALPHABET_SIZE:
-            raise WrongLength(f"expected {ALPHABET_SIZE} letters, got {len(row)}")
-        position: dict[str, int] = {}
-        for j, letter in enumerate(row):
+    def __init__(self, letters: str):
+        if len(letters) != ALPHABET_SIZE:
+            raise WrongLength(f"expected {ALPHABET_SIZE} letters, got {len(letters)}")
+        seen = set()
+        for letter in letters:
             if letter not in ALPHABET:
                 raise NonCanonicalSymbol(f"not a canonical letter: {letter!r}")
-            if letter in position:
+            if letter in seen:
                 raise DuplicateLetter(f"letter {letter} appears twice")
-            position[letter] = j
-        self.letters = row
-        self._position = position
-
-    def image_of(self, letter: str) -> str:
-        """Map a canonical letter forward through this alphabet."""
-        return self.letters[letter_index(letter)]
-
-    def preimage_of(self, letter: str) -> str:
-        """Map a canonical letter backward through this alphabet."""
-        return ALPHABET[self.position_of(letter)]
-
-    def position_of(self, letter: str) -> int:
-        """Return where a letter sits in this alphabet's image row."""
-        try:
-            return self._position[letter]
-        except KeyError:
-            raise NonCanonicalSymbol(f"not a canonical letter: {letter!r}") from None
-
-    def letter_at(self, position: int) -> str:
-        """Return the image row letter at a given position."""
-        return self.letters[position % ALPHABET_SIZE]
+            seen.add(letter)
+        self.letters = letters
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SubstitutionAlphabet):
@@ -101,21 +85,6 @@ class SubstitutionAlphabet:
 
     def __repr__(self) -> str:
         return f"SubstitutionAlphabet({self.letters!r})"
-
-    @classmethod
-    def identity(cls) -> "SubstitutionAlphabet":
-        return cls(ALPHABET)
-
-
-def validate_alphabet(letters: str | Iterable[str]) -> SubstitutionAlphabet:
-    """Check a candidate letter row and return it as a SubstitutionAlphabet.
-
-    Raises:
-        WrongLength: not exactly 29 entries.
-        NonCanonicalSymbol: an entry is not a canonical uppercase letter.
-        DuplicateLetter: an entry repeats.
-    """
-    return SubstitutionAlphabet(letters)
 
 
 class CascadeKeySet:
@@ -155,9 +124,6 @@ class CascadeKeySet:
 
     def __repr__(self) -> str:
         return f"CascadeKeySet(group1={self.group1!r}, group2={self.group2!r}, final={self.final!r})"
-
-    def stages(self, group: Group) -> tuple[SubstitutionAlphabet, ...]:
-        return self.group1 if group is Group.GROUP1 else self.group2
 
     def rows(self) -> Iterator[tuple[str, SubstitutionAlphabet]]:
         """Yield (label, alphabet) pairs in key file order."""

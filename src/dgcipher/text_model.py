@@ -1,4 +1,4 @@
-"""Turkish text model: the 29-letter alphabet, case rules, and tokenization.
+"""Turkish text model: the 29-letter alphabet, case rules, and the substitution engine.
 
 Every cipher in this package works over the canonical uppercase alphabet
 
@@ -12,7 +12,7 @@ Case is handled with the Turkish pairing of the two i letters: I/ı are the
 dotless pair and İ/i the dotted pair, which is exactly where str.upper and
 str.lower go wrong. Only the 29 uppercase letters and their 29 exact
 lowercase forms count as letters; look-alikes from other scripts stay
-passthrough, so tokenize/render round-trips any string unchanged.
+passthrough.
 
 Every letter-wise cipher in the package is a periodic substitution: the
 i-th letter (or character) goes through tables[i % p]. substitution_table
@@ -232,11 +232,8 @@ def letter_index(letter: str) -> int:
         raise NonCanonicalSymbol(f"not a canonical letter: {letter!r}") from None
 
 
-def letter_at(index: int) -> str:
-    """Return the canonical letter at a zero-based alphabet index."""
-    if not 0 <= index < ALPHABET_SIZE:
-        raise NonCanonicalSymbol(f"letter index out of range: {index}")
-    return ALPHABET[index]
+# The per-character model below is on no cipher's path; tokenize and render
+# stay for the benchmark's layer spans.
 
 
 class LetterUnit(namedtuple("LetterUnit", "letter was_lowercase")):
@@ -251,24 +248,17 @@ class Passthrough(namedtuple("Passthrough", "raw")):
     __slots__ = ()
 
 
-MessageUnit = LetterUnit | Passthrough
-
-
-def to_canonical(char: str) -> MessageUnit:
-    """Classify a single character as a letter unit or passthrough."""
-    if char in _INDEX:
-        return LetterUnit(char, was_lowercase=False)
-    if char in _LOWER_INDEX:
-        return LetterUnit(ALPHABET[_LOWER_INDEX[char]], was_lowercase=True)
-    return Passthrough(char)
-
-
-def tokenize(message: str) -> list[MessageUnit]:
+def tokenize(message: str) -> list[LetterUnit | Passthrough]:
     """Split a message into letter units and passthrough characters."""
-    return [to_canonical(c) for c in message]
+    return [
+        LetterUnit(c, False) if c in _INDEX
+        else LetterUnit(ALPHABET[_LOWER_INDEX[c]], True) if c in _LOWER_INDEX
+        else Passthrough(c)
+        for c in message
+    ]
 
 
-def render(units: Iterable[MessageUnit]) -> str:
+def render(units: Iterable[LetterUnit | Passthrough]) -> str:
     """Reassemble units into a string, restoring original letter case."""
     parts = []
     for unit in units:
@@ -298,19 +288,3 @@ class Group(Enum):
 
     GROUP1 = 1
     GROUP2 = 2
-
-
-def group_for_position(position: int, mode: IndexMode, letter_ordinal: int) -> Group:
-    """Route one message position to a cascade group.
-
-    Positions are counted zero-based; routing is by the parity of the
-    one-based index. Odd one-based indices go to GROUP1, even to GROUP2.
-
-    Args:
-        position: zero-based index over all characters of the message.
-        mode: which counter drives the routing.
-        letter_ordinal: zero-based index over letters only (passthrough
-            characters do not advance it).
-    """
-    index = position if mode is IndexMode.ALL_CHARS else letter_ordinal
-    return Group.GROUP1 if (index + 1) % 2 else Group.GROUP2

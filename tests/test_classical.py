@@ -18,7 +18,6 @@ from dgcipher import (
     KeyLetterOutsideAlphabet,
     KeyTooShort,
     LetterNotInGrid,
-    LetterUnit,
     MalformedDigitPair,
     NonCanonicalSymbol,
     OddLengthCiphertext,
@@ -42,13 +41,14 @@ from dgcipher import (
     scytale_encrypt,
     shift_decrypt,
     shift_encrypt,
-    tokenize,
+    to_upper_tr,
     vernam_decrypt,
     vernam_encrypt,
     vigenere_decrypt,
     vigenere_encrypt,
 )
 from dgcipher.classical import atbash_stream, shift_stream, vigenere_stream
+from dgcipher.text_model import canonical_letters
 
 LETTER_CHARS = ALPHABET + LOWERCASE
 MESSAGE_CHARS = LETTER_CHARS + " .,!?\n"
@@ -63,7 +63,7 @@ SENTENCE = "Gazi Üniversitesi Teknoloji Fakültesi Mikroişlemciler dersi"
 
 
 def canon_letters(message: str) -> str:
-    return "".join(u.letter for u in tokenize(message) if isinstance(u, LetterUnit))
+    return canonical_letters(message)
 
 
 TURKISH = (ALPHABET, LOWERCASE)
@@ -440,16 +440,26 @@ class TestPolybius:
             polybius_encode("zar", spec)
 
     def test_lone_digit(self):
-        with pytest.raises(MalformedDigitPair):
+        with pytest.raises(MalformedDigitPair, match=r"^lone digit at position 3$"):
             polybius_decode("22-1")
-        with pytest.raises(MalformedDigitPair):
+        with pytest.raises(MalformedDigitPair, match=r"^lone digit at position 0$"):
             polybius_decode("2")
+        with pytest.raises(MalformedDigitPair, match=r"^lone digit at position 6$"):
+            polybius_decode("22-11-5 x 57")  # the first bad token is reported
 
     def test_out_of_grid_pair(self):
-        with pytest.raises(MalformedDigitPair):
+        with pytest.raises(MalformedDigitPair, match=r"^no grid cell at 57$"):
             polybius_decode("57")  # col 7 is outside the 6-column default grid
-        with pytest.raises(MalformedDigitPair):
+        with pytest.raises(MalformedDigitPair, match=r"^no grid cell at 56$"):
             polybius_decode("56")  # row 5 holds only 5 of its 6 cells
+        with pytest.raises(MalformedDigitPair, match=r"^no grid cell at 00$"):
+            polybius_decode("ab 001")
+        with pytest.raises(MalformedDigitPair, match=r"^no grid cell at 57$"):
+            polybius_decode("22-11 57-2")  # the first bad token is reported
+
+    def test_only_ascii_digits_are_decoded(self):
+        # Arabic-Indic and extended Arabic-Indic digits pass through
+        assert polybius_decode("22 \u0661\u0662-11 \u06f3") == "G \u0661\u0662A \u06f3"
 
     def test_grid_validation(self):
         with pytest.raises(GridTooLarge):
@@ -471,10 +481,7 @@ class TestPolybius:
 
     @given(st.text(alphabet=st.sampled_from(LETTER_CHARS + " ,!?"), max_size=60))
     def test_roundtrip(self, message: str):
-        expected = "".join(
-            u.letter if isinstance(u, LetterUnit) else u.raw for u in tokenize(message)
-        )
-        assert polybius_decode(polybius_encode(message)) == expected
+        assert polybius_decode(polybius_encode(message)) == to_upper_tr(message)
 
 
 class TestRailFence:

@@ -12,7 +12,6 @@ from dgcipher import (
     BadHeader,
     CascadeKeySet,
     DuplicateLetter,
-    Group,
     MissingRow,
     NonCanonicalSymbol,
     SeedOutOfRange,
@@ -24,7 +23,6 @@ from dgcipher import (
     otp_keygen,
     parse_keyset,
     serialize_keyset,
-    validate_alphabet,
 )
 from dgcipher.keyset import ROW_LABELS, SplitMix64
 
@@ -41,40 +39,23 @@ EXAMPLE_TEXT = (
 
 
 class TestSubstitutionAlphabet:
-    def test_identity(self):
-        ident = SubstitutionAlphabet.identity()
-        for letter in ALPHABET:
-            assert ident.image_of(letter) == letter
-            assert ident.preimage_of(letter) == letter
-
-    def test_image_and_preimage_invert(self):
-        row = SubstitutionAlphabet("SAŞZRÖÇEİJKTYONPBMHÜDVLUIGCFĞ")
-        for letter in ALPHABET:
-            assert row.preimage_of(row.image_of(letter)) == letter
-            assert row.image_of(row.preimage_of(letter)) == letter
-
-    def test_position_lookup(self):
-        row = SubstitutionAlphabet(ALPHABET)
-        assert row.position_of("A") == 0
-        assert row.letter_at(28) == "Z"
-
     def test_wrong_length(self):
         with pytest.raises(WrongLength):
-            validate_alphabet(ALPHABET[:-1])
+            SubstitutionAlphabet(ALPHABET[:-1])
         with pytest.raises(WrongLength):
-            validate_alphabet(ALPHABET + "A")
+            SubstitutionAlphabet(ALPHABET + "A")
 
     def test_duplicate_letter(self):
         with pytest.raises(DuplicateLetter):
-            validate_alphabet("A" * 29)
+            SubstitutionAlphabet("A" * 29)
         with pytest.raises(DuplicateLetter):
-            validate_alphabet(ALPHABET[:-1] + "A")
+            SubstitutionAlphabet(ALPHABET[:-1] + "A")
 
     def test_foreign_symbol(self):
         with pytest.raises(NonCanonicalSymbol):
-            validate_alphabet(ALPHABET[:-1] + "Q")
+            SubstitutionAlphabet(ALPHABET[:-1] + "Q")
         with pytest.raises(NonCanonicalSymbol):
-            validate_alphabet(LOWERCASE)
+            SubstitutionAlphabet(LOWERCASE)
 
 
 class TestExampleKeyset:
@@ -87,7 +68,7 @@ class TestExampleKeyset:
 
     def test_known_rows(self, keyset: CascadeKeySet):
         assert keyset.final.letters == "DÖJASZBNÜLCRŞEÇYĞFITHGİOKVMPU"
-        assert keyset.stages(Group.GROUP2)[0].letters == "SAŞZRÖÇEİJKTYONPBMHÜDVLUIGCFĞ"
+        assert keyset.group2[0].letters == "SAŞZRÖÇEİJKTYONPBMHÜDVLUIGCFĞ"
 
     def test_instances_equal(self):
         assert example_keyset() == example_keyset()

@@ -18,8 +18,6 @@ import dgcipher
 from dgcipher import (
     CascadeKeySet,
     FrequencyTable,
-    LetterUnit,
-    Passthrough,
     PlayfairSpec,
     PolybiusSpec,
     ShiftGuess,
@@ -32,6 +30,7 @@ from dgcipher import (
     rank_match_attack,
     serialize_keyset,
 )
+from dgcipher.text_model import LetterUnit, Passthrough
 
 _MODULES = "import sys; sys.stdout.write(' '.join(sys.modules))"
 _CLI_THEN_MODULES = (
@@ -130,6 +129,31 @@ def test_cascade_calls_import_no_typing(bare_no_site, workdir, argv: str):
     # any package code runs, which would hide an import made here.
     added = _modules(_CLI_THEN_MODULES, *argv.split(), cwd=workdir, flags=("-S",)) - bare_no_site
     assert "dgcipher.keyset" in added
+    assert "typing" not in added
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        ("classical shift --k 3 --in msg.txt --out out.txt", "dgcipher.classical"),
+        (
+            "classical vigenere --key anahtar --alphabet turkish29 --in msg.txt --out out.txt",
+            "dgcipher.classical",
+        ),
+        ("classical playfair --keyword kalem --in msg.txt --out out.txt", "dgcipher.classical"),
+        ("analyze --in msg.txt --out out.txt", "dgcipher.analysis"),
+        ("crack --reference corpus.txt --in msg.txt --out out.txt", "dgcipher.analysis"),
+        (
+            "flatness --key paper --reference corpus.txt --in corpus.txt --out out.txt",
+            "dgcipher.analysis",
+        ),
+    ],
+)
+def test_classical_and_analysis_calls_import_no_typing(
+    bare_no_site, workdir, argv: str, module: str
+):
+    added = _modules(_CLI_THEN_MODULES, *argv.split(), cwd=workdir, flags=("-S",)) - bare_no_site
+    assert module in added
     assert "typing" not in added
 
 

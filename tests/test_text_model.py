@@ -8,19 +8,19 @@ from dgcipher import (
     ALPHABET,
     ALPHABET_SIZE,
     LOWERCASE,
-    Group,
-    IndexMode,
-    LetterUnit,
     NonCanonicalSymbol,
-    Passthrough,
-    group_for_position,
-    letter_at,
     letter_index,
-    render,
-    to_canonical,
     to_lower_tr,
     to_upper_tr,
+)
+from dgcipher.text_model import (
+    LETTERS,
+    LetterUnit,
+    Passthrough,
+    render,
+    substitution_table,
     tokenize,
+    translate_periodic,
 )
 
 
@@ -35,21 +35,14 @@ class TestAlphabet:
         assert letter_index("İ") == 11
         assert letter_index("Z") == 28
 
-    def test_letter_at_inverts_letter_index(self):
+    def test_letter_index_inverts_alphabet(self):
         for j, letter in enumerate(ALPHABET):
-            assert letter_at(j) == letter
             assert letter_index(letter) == j
 
     def test_foreign_letters_rejected(self):
         for bad in ("Q", "W", "X", "a", "1", " "):
             with pytest.raises(NonCanonicalSymbol):
                 letter_index(bad)
-
-    def test_letter_at_range(self):
-        with pytest.raises(NonCanonicalSymbol):
-            letter_at(29)
-        with pytest.raises(NonCanonicalSymbol):
-            letter_at(-1)
 
 
 class TestCaseFolding:
@@ -73,17 +66,15 @@ class TestCaseFolding:
 
 class TestCanonical:
     def test_upper_maps_to_itself(self):
-        for letter in ALPHABET:
-            assert to_canonical(letter) == LetterUnit(letter, False)
+        assert tokenize(ALPHABET) == [LetterUnit(letter, False) for letter in ALPHABET]
 
     def test_lower_maps_with_flag(self):
-        for low, up in zip(LOWERCASE, ALPHABET):
-            assert to_canonical(low) == LetterUnit(up, True)
+        assert tokenize(LOWERCASE) == [LetterUnit(up, True) for up in ALPHABET]
 
     def test_outside_alphabet(self):
         # U+017F (long s) uppercases to S in Unicode; it must still pass through
-        for ch in ("q", "W", "3", "!", "ſ"):
-            assert to_canonical(ch) == Passthrough(ch)
+        look_alikes = "qW3!ſ"
+        assert tokenize(look_alikes) == [Passthrough(ch) for ch in look_alikes]
 
 
 class TestTokenize:
@@ -109,18 +100,18 @@ class TestTokenize:
 
 
 class TestGrouping:
+    # GROUP1's table sends A to B and GROUP2's sends A to C, so the output
+    # shows the group each position was routed to.
+    TABLES = (substitution_table("A", "B"), substitution_table("A", "C"))
+
     def test_all_chars_alternates_on_raw_position(self):
-        assert group_for_position(0, IndexMode.ALL_CHARS, 0) is Group.GROUP1
-        assert group_for_position(1, IndexMode.ALL_CHARS, 0) is Group.GROUP2
-        assert group_for_position(2, IndexMode.ALL_CHARS, 1) is Group.GROUP1
+        assert translate_periodic("AA A", self.TABLES) == ("BC C", 0)
 
     def test_letters_only_uses_letter_ordinal(self):
-        # raw position says even slot, letter ordinal says odd slot
-        assert group_for_position(3, IndexMode.LETTERS_ONLY, 0) is Group.GROUP1
-        assert group_for_position(0, IndexMode.LETTERS_ONLY, 1) is Group.GROUP2
+        # raw position 3 says even slot, letter ordinal 0 says odd slot
+        assert translate_periodic("!!!A A", self.TABLES, letters=LETTERS) == ("!!!B C", 0)
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_alternation(self, i: int):
-        first = group_for_position(i, IndexMode.ALL_CHARS, 0)
-        second = group_for_position(i + 1, IndexMode.ALL_CHARS, 0)
-        assert first is not second
+        out, _ = translate_periodic("." * i + "AA", self.TABLES)
+        assert out[-2] != out[-1]
