@@ -38,21 +38,8 @@ _EXPORTS = {
         "transform_stream",
     ),
     "classical": (
-        "PlayfairSpec",
-        "PlayfairTable",
-        "PolybiusSpec",
         "atbash",
-        "canonical_grid",
         "otp_keygen",
-        "playfair_build",
-        "playfair_decrypt",
-        "playfair_encrypt",
-        "polybius_decode",
-        "polybius_encode",
-        "rail_fence_decrypt",
-        "rail_fence_encrypt",
-        "scytale_decrypt",
-        "scytale_encrypt",
         "shift_decrypt",
         "shift_encrypt",
         "vernam_decrypt",
@@ -83,6 +70,21 @@ _EXPORTS = {
         "ShiftOutOfRange",
         "TooShort",
         "WrongLength",
+    ),
+    "grids": (
+        "PlayfairSpec",
+        "PlayfairTable",
+        "PolybiusSpec",
+        "canonical_grid",
+        "playfair_build",
+        "playfair_decrypt",
+        "playfair_encrypt",
+        "polybius_decode",
+        "polybius_encode",
+        "rail_fence_decrypt",
+        "rail_fence_encrypt",
+        "scytale_decrypt",
+        "scytale_encrypt",
     ),
     "keyset": (
         "CascadeKeySet",

@@ -1,39 +1,17 @@
-"""Classical ciphers over the 29-letter Turkish alphabet.
+"""Classical substitution ciphers over the 29-letter Turkish alphabet.
 
-Substitution ciphers (shift, atbash, vigenere, vernam) keep passthrough
-characters in place and preserve letter case. Shift, atbash and vigenere
-also come as *_stream functions, which check their arguments at once and
-then transform a text delivered in chunks. Grid and transposition
-ciphers (playfair, polybius, rail fence, scytale) work on the letters
-alone and emit canonical uppercase, because their preprocessing already
-discards the original spacing.
+Shift, atbash, vigenere and vernam keep passthrough characters in place
+and preserve letter case. Shift, atbash and vigenere also come as
+*_stream functions, which check their arguments at once and then
+transform a text delivered in chunks. The grid and transposition ciphers
+are in `grids`, so a substitution call does not load them.
 """
 
 from __future__ import annotations
 
-import re
-from collections import namedtuple
-from math import ceil
-
-from .errors import (
-    CircumferenceOutOfRange,
-    DuplicateGridLetter,
-    EmptyKey,
-    EmptyKeyword,
-    GridTooLarge,
-    KeyLetterOutsideAlphabet,
-    KeyTooShort,
-    LetterNotInGrid,
-    MalformedDigitPair,
-    NonCanonicalSymbol,
-    OddLengthCiphertext,
-    PaddingInSameCellAsNeighbor,
-    RailsOutOfRange,
-    ShiftOutOfRange,
-    WrongLength,
-)
+from .errors import EmptyKey, KeyLetterOutsideAlphabet, KeyTooShort, ShiftOutOfRange
 from .text_model import (
-    _FOLD_UPPER,
+    _LATIN5,
     ALPHABET,
     ALPHABET_SIZE,
     LETTERS,
@@ -41,7 +19,6 @@ from .text_model import (
     canonical_letters,
     substitution_table,
     to_lower_tr,
-    to_upper_tr,
     translate_stream,
 )
 
@@ -95,14 +72,17 @@ def _key_letters(key: str, alphabet: Alphabet) -> str:
     dotless/dotted i never fold into ASCII I, and turkish29 takes exactly
     the 29 canonical letters and their lowercase forms.
     """
-    letters = LETTERS if alphabet is Alphabet.TURKISH29 else _ASCII_LETTERS
     kept = "".join(key.split())
-    outside = re.search(f"[^{letters}]", kept)
-    if outside:
-        raise KeyLetterOutsideAlphabet(f"key character {outside[0]!r} is outside the alphabet")
+    if alphabet is Alphabet.TURKISH29:
+        letters, folded = LETTERS, canonical_letters(kept)  # drops what is not a letter
+    else:
+        letters, folded = _ASCII_LETTERS, kept.upper() if kept.isascii() and kept.isalpha() else ""
+    if len(folded) != len(kept):
+        outside = kept.lstrip(letters)[0]
+        raise KeyLetterOutsideAlphabet(f"key character {outside!r} is outside the alphabet")
     if not kept:
         raise EmptyKey("key contains no letters")
-    return kept.translate(_FOLD_UPPER) if alphabet is Alphabet.TURKISH29 else kept.upper()
+    return folded
 
 
 def _running_key(
@@ -112,12 +92,16 @@ def _running_key(
         letters, lower, counted = _ASCII_UPPER, str.lower, _ASCII_LETTERS
     else:
         letters, lower, counted = ALPHABET, to_lower_tr, LETTERS
+    row, key = letters.encode(_LATIN5), key_letters.encode(_LATIN5)
+    # One table per letter the key holds, by its Latin-5 byte: bytes, unlike
+    # a str, are searched and iterated without making 1-character strings.
     tables = {}
-    for letter in set(key_letters):
-        k = sign * letters.index(letter) % len(letters)
-        tables[letter] = substitution_table(letters, letters[k:] + letters[:k], lower)
+    for j, byte in enumerate(row):
+        if byte in key:
+            k = sign * j % len(row)
+            tables[byte] = substitution_table(letters, letters[k:] + letters[:k], lower)
     # Period len(key), counted over letters: passthrough does not consume a key letter.
-    return translate_stream(chunks, [tables[c] for c in key_letters], counted)
+    return translate_stream(chunks, list(map(tables.__getitem__, key)), counted)
 
 
 def vigenere_stream(
@@ -139,249 +123,6 @@ def vigenere_encrypt(message: str, key: str, alphabet: Alphabet = Alphabet.ENGLI
 def vigenere_decrypt(message: str, key: str, alphabet: Alphabet = Alphabet.ENGLISH26) -> str:
     """Invert vigenere_encrypt with the same key and alphabet."""
     return "".join(vigenere_stream([message], key, alphabet, decrypt=True))
-
-
-# --- playfair (5x5 digram cipher) ---
-
-# 29 letters fold into 25 cells: three cells hold the merged letters
-# S/Ş, U/Ü and V/Y/Z; the first member is the cell's representative.
-_MERGED = {
-    "S": ("S", "Ş"), "Ş": ("S", "Ş"),
-    "U": ("U", "Ü"), "Ü": ("U", "Ü"),
-    "V": ("V", "Y", "Z"), "Y": ("V", "Y", "Z"), "Z": ("V", "Y", "Z"),
-}
-_CELL_OF = {letter: _MERGED.get(letter, (letter,)) for letter in ALPHABET}
-_CELLS_CANONICAL = tuple(
-    _CELL_OF[letter] for letter in ALPHABET if _CELL_OF[letter][0] == letter
-)
-
-
-class PlayfairSpec(namedtuple("PlayfairSpec", "keyword padding", defaults=("M",))):
-    """Parameters for the digram cipher: a keyword and a padding letter."""
-
-    __slots__ = ()
-
-
-class PlayfairTable:
-    """A 5x5 arrangement of the 25 letter cells."""
-
-    __slots__ = ("cells", "_where")
-
-    def __init__(self, cells: Iterable[tuple[str, ...]]):
-        self.cells = tuple(cells)
-        self._where = {
-            letter: divmod(i, 5) for i, cell in enumerate(self.cells) for letter in cell
-        }
-
-    def position_of(self, letter: str) -> tuple[int, int]:
-        try:
-            return self._where[letter]
-        except KeyError:
-            raise LetterNotInGrid(f"letter {letter!r} has no cell") from None
-
-    def representative_at(self, row: int, col: int) -> str:
-        return self.cells[row * 5 + col][0]
-
-    def same_cell(self, a: str, b: str) -> bool:
-        return self.position_of(a) == self.position_of(b)
-
-
-def playfair_build(keyword: str) -> PlayfairTable:
-    """Build the table: keyword cells first (deduplicated, order kept),
-    then every remaining cell in canonical order."""
-    keyword_letters = canonical_letters(keyword)
-    if not keyword_letters:
-        raise EmptyKeyword("keyword contains no letters")
-    ordered: list[tuple[str, ...]] = []
-    for letter in keyword_letters:
-        cell = _CELL_OF[letter]
-        if cell not in ordered:
-            ordered.append(cell)
-    ordered.extend(cell for cell in _CELLS_CANONICAL if cell not in ordered)
-    return PlayfairTable(ordered)
-
-
-def _playfair_pairs(letters: str, padding: str, table: PlayfairTable) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    i = 0
-    while i < len(letters):
-        a = letters[i]
-        if i + 1 < len(letters) and not table.same_cell(a, letters[i + 1]):
-            pairs.append((a, letters[i + 1]))
-            i += 2
-            continue
-        # Same-cell neighbor or trailing single letter: pair with padding.
-        if table.same_cell(a, padding):
-            raise PaddingInSameCellAsNeighbor(
-                f"padding {padding!r} shares a cell with {a!r}"
-            )
-        pairs.append((a, padding))
-        i += 1
-    return pairs
-
-
-def _padding_letter(spec: PlayfairSpec) -> str:
-    folded = to_upper_tr(spec.padding)
-    if len(folded) != 1 or folded not in ALPHABET:
-        raise NonCanonicalSymbol(f"padding must be one letter: {spec.padding!r}")
-    return folded
-
-
-def _playfair_map(pair: tuple[str, str], table: PlayfairTable, shift: int) -> tuple[str, str]:
-    (ra, ca), (rb, cb) = table.position_of(pair[0]), table.position_of(pair[1])
-    if ra == rb:
-        return table.representative_at(ra, (ca + shift) % 5), table.representative_at(rb, (cb + shift) % 5)
-    if ca == cb:
-        return table.representative_at((ra + shift) % 5, ca), table.representative_at((rb + shift) % 5, cb)
-    return table.representative_at(ra, cb), table.representative_at(rb, ca)
-
-
-def playfair_encrypt(message: str, spec: PlayfairSpec) -> str:
-    """Encrypt digrams: same row moves right, same column moves down,
-    otherwise swap columns. Output letters are the cell representatives."""
-    table = playfair_build(spec.keyword)
-    padding = _padding_letter(spec)
-    pairs = _playfair_pairs(canonical_letters(message), padding, table)
-    return "".join("".join(_playfair_map(p, table, +1)) for p in pairs)
-
-
-def playfair_decrypt(message: str, spec: PlayfairSpec) -> str:
-    """Invert playfair_encrypt digram by digram (left/up/swap columns).
-
-    Decryption emits cell representatives, so merged letters come back as
-    S, U or V. Padding letters inserted on encryption are kept.
-    """
-    table = playfair_build(spec.keyword)
-    letters = canonical_letters(message)
-    if len(letters) % 2:
-        raise OddLengthCiphertext(f"{len(letters)} letters cannot form digrams")
-    pairs = [(letters[i], letters[i + 1]) for i in range(0, len(letters), 2)]
-    return "".join("".join(_playfair_map(p, table, -1)) for p in pairs)
-
-
-# --- polybius (coordinate grid) ---
-
-class PolybiusSpec(namedtuple("PolybiusSpec", "rows cols grid")):
-    """A rows x cols letter grid, row-major, short last row allowed."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: int, cols: int, grid: str) -> PolybiusSpec:
-        if rows < 1 or cols < 1:
-            raise WrongLength(f"grid needs positive dimensions: {rows}x{cols}")
-        if rows > 9 or cols > 9:
-            raise GridTooLarge("digit pairs cannot address rows or columns past 9")
-        seen: set[str] = set()
-        for letter in grid:
-            if letter not in ALPHABET:
-                raise NonCanonicalSymbol(f"not a canonical letter: {letter!r}")
-            if letter in seen:
-                raise DuplicateGridLetter(f"letter {letter} appears twice in the grid")
-            seen.add(letter)
-        if not (rows - 1) * cols < len(grid) <= rows * cols:
-            raise WrongLength(f"{len(grid)} letters do not fill {rows} rows of {cols}")
-        return super().__new__(cls, rows, cols, grid)
-
-
-def canonical_grid() -> PolybiusSpec:
-    """The whole alphabet in five rows of six, as in the worked examples."""
-    return PolybiusSpec(rows=5, cols=6, grid=ALPHABET)
-
-
-def _codes(spec: PolybiusSpec) -> dict[str, str]:
-    # Each grid letter's "<row><col>" code, 1-based.
-    return {
-        letter: f"{where // spec.cols + 1}{where % spec.cols + 1}"
-        for where, letter in enumerate(spec.grid)
-    }
-
-
-def polybius_encode(message: str, spec: PolybiusSpec | None = None) -> str:
-    """Encode each letter as "<row><col>" (1-based digits).
-
-    Codes of consecutive letters are joined with "-"; passthrough
-    characters are kept verbatim and break the joined runs. Digits or
-    dashes already present in the message make the output ambiguous to
-    decode, so keep them out of messages that must round-trip.
-    """
-    codes = _codes(spec or canonical_grid())
-
-    def encode_run(run: re.Match[str]) -> str:
-        try:
-            return "-".join([codes[letter] for letter in run[0].translate(_FOLD_UPPER)])
-        except KeyError as missing:
-            raise LetterNotInGrid(f"letter {missing.args[0]} is not in the grid") from None
-
-    return re.sub(f"[{LETTERS}]+", encode_run, message)
-
-
-def polybius_decode(code: str, spec: PolybiusSpec | None = None) -> str:
-    """Decode digit pairs back to letters; "-" separators are dropped and
-    any other character passes through verbatim."""
-    letters = {pair: letter for letter, pair in _codes(spec or canonical_grid()).items()}
-
-    def decode_token(token: re.Match[str]) -> str:
-        # Tokens come left to right, so the first bad one raises.
-        if token[0] == "-":
-            return ""
-        if len(token[0]) == 1:
-            raise MalformedDigitPair(f"lone digit at position {token.start()}")
-        try:
-            return letters[token[0]]
-        except KeyError:
-            raise MalformedDigitPair(f"no grid cell at {token[0]}") from None
-
-    # ASCII digits only: other Unicode digits pass through.
-    return re.sub("[0-9]{1,2}|-", decode_token, code)
-
-
-# --- rail fence and scytale (transpositions) ---
-
-def _reorder(letters: str, order: list[int], decrypt: bool) -> str:
-    # Encryption reads the letter at each position of order in turn;
-    # decryption puts each letter back at its position.
-    if decrypt:
-        return "".join(letter for _, letter in sorted(zip(order, letters)))
-    return "".join(letters[i] for i in order)
-
-
-def _rail_fence(message: str, rails: int, decrypt: bool) -> str:
-    if rails < 1:
-        raise RailsOutOfRange(f"rails must be at least 1: {rails}")
-    letters = canonical_letters(message)
-    # The zigzag repeats every 2 * rails - 2 letters; at step r of a cycle
-    # it is on rail min(r, cycle - r). Rails are read top to bottom.
-    cycle = max(2 * rails - 2, 1)
-    order = sorted(range(len(letters)), key=lambda i: min(i % cycle, cycle - i % cycle))
-    return _reorder(letters, order, decrypt)
-
-
-def rail_fence_encrypt(message: str, rails: int) -> str:
-    """Write the letters in a zigzag over the rails, read rail by rail."""
-    return _rail_fence(message, rails, False)
-
-
-def rail_fence_decrypt(message: str, rails: int) -> str:
-    """Invert rail_fence_encrypt; the original spacing is not restored."""
-    return _rail_fence(message, rails, True)
-
-
-def _scytale(message: str, circumference: int, decrypt: bool) -> str:
-    if circumference < 1:
-        raise CircumferenceOutOfRange(f"circumference must be at least 1: {circumference}")
-    letters = canonical_letters(message)
-    cols = ceil(len(letters) / circumference)
-    return _reorder(letters, sorted(range(len(letters)), key=lambda i: i % cols), decrypt)
-
-
-def scytale_encrypt(message: str, circumference: int) -> str:
-    """Fill circumference rows in row-major order, read column by column."""
-    return _scytale(message, circumference, False)
-
-
-def scytale_decrypt(message: str, circumference: int) -> str:
-    """Invert scytale_encrypt for the same circumference."""
-    return _scytale(message, circumference, True)
 
 
 # --- vernam (one-time running key) ---

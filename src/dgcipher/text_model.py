@@ -32,8 +32,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from itertools import accumulate, chain, count
-from operator import add
+from itertools import accumulate, chain, count, islice
+from operator import add, getitem
 
 from .errors import NonCanonicalSymbol
 
@@ -55,12 +55,15 @@ LETTERS = ALPHABET + LOWERCASE
 # Regex sources, compiled on first use by re's own cache so that importing
 # the package compiles no regex.
 _NON_LETTERS = f"[^{LETTERS}]+"
-_FOLD_UPPER = str.maketrans(LOWERCASE, ALPHABET)
 
 # The engine works on Latin-5 bytes. Encoding with "replace" writes one "?"
 # for each code point Latin-5 lacks (astral characters, lone surrogates,
 # other scripts), so byte offsets equal str indices.
 _LATIN5 = "iso8859_9"
+
+# Latin-5 tables: lowercase letters to uppercase, and the bytes that are not letters.
+_UPPER_BYTES = bytes.maketrans(LOWERCASE.encode(_LATIN5), ALPHABET.encode(_LATIN5))
+_NOT_LETTER_BYTES = bytes(set(range(256)).difference(LETTERS.encode(_LATIN5)))
 
 _UPPER_SPECIAL = {"i": "İ", "ı": "I"}
 _LOWER_SPECIAL = {"İ": "i", "I": "ı"}
@@ -83,7 +86,7 @@ def strip_passthrough(text: str) -> str:
 
 def canonical_letters(text: str) -> str:
     """The letters of a text in canonical uppercase, passthrough dropped."""
-    return strip_passthrough(text).translate(_FOLD_UPPER)
+    return text.encode(_LATIN5, "replace").translate(_UPPER_BYTES, _NOT_LETTER_BYTES).decode(_LATIN5)
 
 
 def substitution_table(
@@ -147,8 +150,11 @@ def _strided(data: bytes, tables: Sequence[bytes], phase: int) -> bytearray:
     # Bytes r, r + p, r + 2p, ... share a table: one translate each,
     # written into one buffer.
     period = len(tables)
+    if period >= len(data):
+        # At most one byte per residue: one pass sends each through its table.
+        return bytearray(map(getitem, chain(islice(tables, phase, None), tables), data))
     out = bytearray(len(data))
-    for r in range(min(period, len(data))):
+    for r in range(period):
         out[r::period] = data[r::period].translate(tables[(phase + r) % period])
     return out
 

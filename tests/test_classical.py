@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import string
 
 import pytest
@@ -41,6 +42,7 @@ from dgcipher import (
     scytale_encrypt,
     shift_decrypt,
     shift_encrypt,
+    to_lower_tr,
     to_upper_tr,
     vernam_decrypt,
     vernam_encrypt,
@@ -177,6 +179,21 @@ class TestPerLetterEquivalence:
         want = per_letter(message, lambda i, j: (j + ALPHABET.index(key[i])) % 29)
         assert vernam_encrypt(message, key) == want
 
+    def test_vernam_of_a_long_text(self, corpus_text: str):
+        # The key is as long as the message, so every letter has a table of
+        # its own. The key mixes case and whitespace, which are ignored.
+        message = corpus_text * (1 + 120_000 // len(canonical_letters(corpus_text)))
+        key = otp_keygen(len(canonical_letters(message)), 3)
+        assert len(key) >= 100_000
+        key_text = to_lower_tr(key[:50_000]) + " \n\t" + key[50_000:]
+
+        def shifted(sign: int):
+            return lambda i, j: (j + sign * ALPHABET.index(key[i])) % 29
+
+        encrypted = vernam_encrypt(message, key_text)
+        assert encrypted == per_letter(message, shifted(+1))
+        assert vernam_decrypt(message, key_text) == per_letter(message, shifted(-1))
+
     # Over letters, every period but two puts the translated letters back
     # through a "%" format template, so "%" and format syntax must come
     # out as themselves, wherever they stand.
@@ -304,6 +321,24 @@ class TestVigenere:
             vigenere_encrypt("abc", "Çelik")  # english26 has no Ç
         with pytest.raises(KeyLetterOutsideAlphabet):
             vigenere_encrypt("abc", "Quark", Alphabet.TURKISH29)
+
+    @pytest.mark.parametrize(
+        "key, alphabet, first",
+        [
+            ("Ka1leÇ", Alphabet.ENGLISH26, "1"),
+            ("Ka le Çİ", Alphabet.ENGLISH26, "Ç"),
+            ("Kale Qİ9", Alphabet.TURKISH29, "Q"),
+            ("Kaleж?", Alphabet.TURKISH29, "ж"),
+            ("Kale?ж", Alphabet.TURKISH29, "?"),
+        ],
+    )
+    def test_key_error_names_the_first_character_outside(self, key: str, alphabet: Alphabet, first: str):
+        want = f"^key character {re.escape(repr(first))} is outside the alphabet$"
+        with pytest.raises(KeyLetterOutsideAlphabet, match=want):
+            vigenere_encrypt("abc", key, alphabet)
+        if alphabet is Alphabet.TURKISH29:
+            with pytest.raises(KeyLetterOutsideAlphabet, match=want):
+                vernam_encrypt("abc", key)
 
     @given(ascii_messages, st.text(alphabet=st.sampled_from("KALEmn"), min_size=1, max_size=8))
     def test_roundtrip_english(self, message: str, key: str):

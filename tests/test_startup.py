@@ -53,6 +53,19 @@ _ENV = {
 _HEAVY = {"dgcipher.classical", "dgcipher.analysis", "dataclasses"}
 _NO_CIPHERS = {"dgcipher.cascade", "dgcipher.classical", "dataclasses"}
 _SUBSTITUTION = {"dgcipher.analysis", "dgcipher.keyset", "dgcipher.cascade", "dataclasses", "string"}
+# A call loads the command module of its own family alone, and the grid
+# ciphers only when it runs one.
+_CASCADE_FAMILY = _HEAVY | {"dgcipher.grids", "dgcipher.cli_classical", "dgcipher.cli_analysis"}
+_ANALYSIS_FAMILY = _NO_CIPHERS | {"dgcipher.cli_cascade", "dgcipher.cli_classical"}
+_SUBSTITUTION_CALL = _SUBSTITUTION | {"dgcipher.grids", "dgcipher.cli_cascade", "dgcipher.cli_analysis"}
+_GRID_CALL = _SUBSTITUTION_CALL - {"dgcipher.grids"}
+# The command module a call of each command loads, and the grid ciphers.
+_FAMILY = {
+    **dict.fromkeys(("encrypt", "decrypt", "keygen", "keycheck"), "dgcipher.cli_cascade"),
+    "classical": "dgcipher.cli_classical",
+    **dict.fromkeys(("analyze", "crack", "flatness"), "dgcipher.cli_analysis"),
+}
+_GRID_CIPHERS = ("playfair", "polybius", "railfence", "scytale")
 
 
 def _modules(
@@ -91,28 +104,35 @@ def workdir(tmp_path_factory: pytest.TempPathFactory, corpus_text: str) -> pathl
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        ("encrypt --key paper --in msg.txt --out out.txt", _HEAVY),
-        ("encrypt --key key.txt --index-mode letters-only --in msg.txt --out out.txt", _HEAVY),
-        ("decrypt --key key.txt --in msg.txt --out out.txt", _HEAVY),
-        ("keycheck --key key.txt --out out.txt", _HEAVY),
-        ("keygen --seed 7 --out out.txt", _HEAVY),
-        ("analyze --in msg.txt --out out.txt", _NO_CIPHERS),
-        ("crack --reference corpus.txt --in msg.txt --out out.txt", _NO_CIPHERS),
-        ("flatness --key paper --reference corpus.txt --in corpus.txt --out out.txt", _NO_CIPHERS),
-        ("classical vigenere --key anahtar --in msg.txt --out out.txt", _SUBSTITUTION),
+        ("encrypt --key paper --in msg.txt --out out.txt", _CASCADE_FAMILY),
+        ("encrypt --key key.txt --index-mode letters-only --in msg.txt --out out.txt", _CASCADE_FAMILY),
+        ("decrypt --key key.txt --in msg.txt --out out.txt", _CASCADE_FAMILY),
+        ("keycheck --key key.txt --out out.txt", _CASCADE_FAMILY),
+        ("keygen --seed 7 --out out.txt", _CASCADE_FAMILY),
+        ("analyze --in msg.txt --out out.txt", _ANALYSIS_FAMILY),
+        ("crack --reference corpus.txt --in msg.txt --out out.txt", _ANALYSIS_FAMILY),
+        ("flatness --key paper --reference corpus.txt --in corpus.txt --out out.txt", _ANALYSIS_FAMILY),
+        ("classical vigenere --key anahtar --in msg.txt --out out.txt", _SUBSTITUTION_CALL),
         (
             "flatness --key key.txt --index-mode letters-only --format records"
             " --reference corpus.txt --in corpus.txt --out out.txt",
-            _NO_CIPHERS,
+            _ANALYSIS_FAMILY,
         ),
-        ("classical shift --k 3 --in msg.txt --out out.txt", _SUBSTITUTION),
-        ("classical atbash --decrypt --in msg.txt --out out.txt", _SUBSTITUTION),
+        ("classical shift --k 3 --in msg.txt --out out.txt", _SUBSTITUTION_CALL),
+        ("classical atbash --decrypt --in msg.txt --out out.txt", _SUBSTITUTION_CALL),
+        ("classical playfair --keyword kalem --in msg.txt --out out.txt", _GRID_CALL),
+        ("classical polybius --in msg.txt --out out.txt", _GRID_CALL),
+        ("classical railfence --rails 3 --in msg.txt --out out.txt", _GRID_CALL),
+        ("classical scytale --circumference 4 --in msg.txt --out out.txt", _GRID_CALL),
     ],
 )
 def test_cli_call_loads_only_what_it_runs(bare, workdir, argv: str, absent: set[str]):
-    added = _modules(_CLI_THEN_MODULES, *argv.split(), cwd=workdir) - bare
-    assert "dgcipher.text_model" in added
-    assert added & absent == set()
+    command, *rest = argv.split()
+    added = _modules(_CLI_THEN_MODULES, command, *rest, cwd=workdir) - bare
+    assert {"dgcipher.text_model", _FAMILY[command]} <= added
+    assert ("dgcipher.grids" in added) is (rest[0] in _GRID_CIPHERS)
+    # Run as __main__, the CLI module would load a second time if imported.
+    assert added & (absent | {"dgcipher.cli"}) == set()
 
 
 @pytest.mark.parametrize(
@@ -140,7 +160,7 @@ def test_cascade_calls_import_no_typing(bare_no_site, workdir, argv: str):
             "classical vigenere --key anahtar --alphabet turkish29 --in msg.txt --out out.txt",
             "dgcipher.classical",
         ),
-        ("classical playfair --keyword kalem --in msg.txt --out out.txt", "dgcipher.classical"),
+        ("classical playfair --keyword kalem --in msg.txt --out out.txt", "dgcipher.grids"),
         ("analyze --in msg.txt --out out.txt", "dgcipher.analysis"),
         ("crack --reference corpus.txt --in msg.txt --out out.txt", "dgcipher.analysis"),
         (
