@@ -15,8 +15,8 @@ from .errors import EmptyText, ShiftOutOfRange, TooShort
 from .text_model import (
     ALPHABET,
     ALPHABET_SIZE,
-    LOWERCASE,
     IndexMode,
+    letter_counts,
     strip_passthrough,
     substitution_table,
     translate_periodic,
@@ -53,22 +53,6 @@ class FrequencyTable(namedtuple("FrequencyTable", "counts total_letters")):
         return sorted(ALPHABET, key=lambda l: (-self.counts[l], ALPHABET.index(l)))
 
 
-def _letter_counts(text: str) -> dict[str, int]:
-    """Count each canonical letter in a text, its exact lowercase form included.
-
-    Only the 58 exact letter forms count; look-alikes and everything else
-    are passthrough.
-    """
-    return {
-        upper: text.count(upper) + text.count(lower) for upper, lower in zip(ALPHABET, LOWERCASE)
-    }
-
-
-def _add_letter_counts(counts: dict[str, int], text: str) -> None:
-    for letter, n in _letter_counts(text).items():
-        counts[letter] += n
-
-
 def _table_from_counts(counts: dict[str, int]) -> FrequencyTable:
     total = sum(counts.values())
     if total == 0:
@@ -82,7 +66,7 @@ def letter_frequencies(text: str) -> FrequencyTable:
     Raises:
         EmptyText: the text contains no letters at all.
     """
-    return _table_from_counts(_letter_counts(text))
+    return _table_from_counts(letter_counts((text,)))
 
 
 def build_reference_table(chunks: Iterable[str]) -> FrequencyTable:
@@ -93,10 +77,7 @@ def build_reference_table(chunks: Iterable[str]) -> FrequencyTable:
     """
     if isinstance(chunks, str):
         chunks = [chunks]
-    counts = dict.fromkeys(ALPHABET, 0)
-    for chunk in chunks:
-        _add_letter_counts(counts, chunk)
-    return _table_from_counts(counts)
+    return _table_from_counts(letter_counts(chunks))
 
 
 class SubstitutionGuess(namedtuple("SubstitutionGuess", "mapping")):
@@ -160,17 +141,18 @@ def crack_shift(
         EmptyText: the ciphertext contains no letters.
     """
     observed = build_reference_table(ciphertext)
+    row = [observed.counts[letter] for letter in ALPHABET]
+    expected = [reference.frequency(letter) for letter in ALPHABET]
+    floors = [max(fe, CHI_SQUARED_FLOOR) for fe in expected]
     distances: list[float] = []
     for k in range(ALPHABET_SIZE):
         # Decrypting by k rotates the count row; no need to rewrite the text.
-        decrypted = FrequencyTable(
-            counts={
-                ALPHABET[j]: observed.counts[ALPHABET[(j + k) % ALPHABET_SIZE]]
-                for j in range(ALPHABET_SIZE)
-            },
-            total_letters=observed.total_letters,
-        )
-        distances.append(chi_squared_distance(decrypted, reference))
+        # The terms are added one by one in alphabet order, as
+        # chi_squared_distance adds them (sum() may round differently).
+        total = 0.0
+        for n, fe, floor in zip(row[k:] + row[:k], expected, floors):
+            total += (n / observed.total_letters - fe) ** 2 / floor
+        distances.append(total)
     best = min(range(ALPHABET_SIZE), key=lambda k: (distances[k], k))
     return ShiftGuess(
         shift=best,
@@ -290,8 +272,9 @@ def flatness_report(
     phase = 0
     for chunk in plaintext:
         text = strip_passthrough(chunk) if mode is IndexMode.LETTERS_ONLY else chunk
-        _add_letter_counts(even, text[phase::2])
-        _add_letter_counts(odd, text[1 - phase::2])
+        for counts, start in ((even, phase), (odd, 1 - phase)):
+            for letter, n in letter_counts((text[start::2],)).items():
+                counts[letter] += n
         phase = (phase + len(text)) % 2
     plain_table = _table_from_counts({letter: even[letter] + odd[letter] for letter in ALPHABET})
     if plain_table.total_letters < min_letters:

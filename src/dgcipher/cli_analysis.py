@@ -6,7 +6,8 @@ import argparse
 import sys
 
 from .cli_io import _add_index_mode, _add_io_flags, _input_chunks, _nonnegative, _resolve_keyset, _write_all
-from .text_model import ALPHABET, IndexMode
+from .errors import EmptyText
+from .text_model import IndexMode, letter_counts
 
 
 def _letter_table(path: str | None):
@@ -17,18 +18,17 @@ def _letter_table(path: str | None):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    table = _letter_table(args.infile)
+    # Counted here rather than through analysis.FrequencyTable, so that
+    # the call compiles no analysis module.
+    counts = letter_counts(_input_chunks(args.infile))
+    total = sum(counts.values())
+    if total == 0:
+        raise EmptyText("no letters to count")
     if args.format == "records":
-        lines = [
-            f"{letter}\t{table.counts[letter]}\t{table.frequency(letter):.6f}"
-            for letter in ALPHABET
-        ]
+        lines = [f"{letter}\t{n}\t{n / total:.6f}" for letter, n in counts.items()]
     else:
-        lines = [f"letters: {table.total_letters}"]
-        lines += [
-            f"{letter}  {table.counts[letter]:>8}  {table.frequency(letter):.6f}"
-            for letter in ALPHABET
-        ]
+        lines = [f"letters: {total}"]
+        lines += [f"{letter}  {n:>8}  {n / total:.6f}" for letter, n in counts.items()]
     _write_all(args.outfile, ["\n".join(lines) + "\n"])
     return 0
 

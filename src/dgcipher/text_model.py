@@ -24,12 +24,12 @@ Counted over all characters, each strided slice takes one translate.
 Counted over letters, period two picks each byte from the text translated
 by either table; any other period translates the letters alone and
 scatters them back through one "%c" template. translate_stream carries
-the phase from one chunk of a text to the next.
+the phase from one chunk of a text to the next. Letter counting
+(letter_counts) works on the same Latin-5 bytes, folded to uppercase.
 """
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from enum import Enum
 from itertools import accumulate, chain, count, islice
@@ -52,10 +52,6 @@ _LOWER_INDEX = {letter: j for j, letter in enumerate(LOWERCASE)}
 # The 58 letter forms that count as letters.
 LETTERS = ALPHABET + LOWERCASE
 
-# Regex sources, compiled on first use by re's own cache so that importing
-# the package compiles no regex.
-_NON_LETTERS = f"[^{LETTERS}]+"
-
 # The engine works on Latin-5 bytes. Encoding with "replace" writes one "?"
 # for each code point Latin-5 lacks (astral characters, lone surrogates,
 # other scripts), so byte offsets equal str indices.
@@ -64,6 +60,7 @@ _LATIN5 = "iso8859_9"
 # Latin-5 tables: lowercase letters to uppercase, and the bytes that are not letters.
 _UPPER_BYTES = bytes.maketrans(LOWERCASE.encode(_LATIN5), ALPHABET.encode(_LATIN5))
 _NOT_LETTER_BYTES = bytes(set(range(256)).difference(LETTERS.encode(_LATIN5)))
+_ALPHABET_BYTES = ALPHABET.encode(_LATIN5)
 
 _UPPER_SPECIAL = {"i": "İ", "ı": "I"}
 _LOWER_SPECIAL = {"İ": "i", "I": "ı"}
@@ -81,12 +78,26 @@ def to_lower_tr(text: str) -> str:
 
 def strip_passthrough(text: str) -> str:
     """The letters of a text in their own case, passthrough dropped."""
-    return re.sub(_NON_LETTERS, "", text)
+    return text.encode(_LATIN5, "replace").translate(None, _NOT_LETTER_BYTES).decode(_LATIN5)
 
 
 def canonical_letters(text: str) -> str:
     """The letters of a text in canonical uppercase, passthrough dropped."""
     return text.encode(_LATIN5, "replace").translate(_UPPER_BYTES, _NOT_LETTER_BYTES).decode(_LATIN5)
+
+
+def letter_counts(chunks: Iterable[str]) -> dict[str, int]:
+    """Count each canonical letter, its lowercase form included, over a text in chunks.
+
+    Only the 58 exact letter forms count: each chunk is folded to
+    uppercase on its Latin-5 bytes, where every code point Latin-5 lacks
+    is a "?" and every other character outside the 58 is a non-letter byte.
+    """
+    counts = [0] * ALPHABET_SIZE
+    for chunk in chunks:
+        folded = chunk.encode(_LATIN5, "replace").translate(_UPPER_BYTES)
+        counts = list(map(add, counts, map(folded.count, _ALPHABET_BYTES)))
+    return dict(zip(ALPHABET, counts))
 
 
 def substitution_table(

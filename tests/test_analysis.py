@@ -282,6 +282,16 @@ class TestCrackShift:
         assert len(guess.distances) == 29
         assert guess.distances[guess.shift] == min(guess.distances)
 
+    def test_distances_equal_a_per_shift_reference(self, corpus_text: str, reference: FrequencyTable):
+        # Each shift's distance, from a table of the text decrypted by it:
+        # the same floats, bit for bit.
+        ciphertext = shift_encrypt(corpus_text[:3000], 11) + "ſ\u212a?"
+        want = tuple(
+            chi_squared_distance(letter_frequencies(shift_encrypt(ciphertext, -k % 29)), reference)
+            for k in range(29)
+        )
+        assert crack_shift(ciphertext, reference).distances == want
+
     def test_short_text_is_flagged(self, reference: FrequencyTable):
         guess = crack_shift("Kısa metin", reference, min_letters=100)
         assert guess.low_confidence

@@ -430,6 +430,42 @@ class TestAnalysisCommands:
         assert (code, out) == (2, b"")
         assert b"EmptyText" in err
 
+    # Dotless and dotted i in both cases, a long s, a Kelvin sign, a
+    # Cyrillic a, a character Latin-5 lacks next to a "?", an astral
+    # character and Q, W, X: 26 letters. The outputs are those of the
+    # str.count version of the counter.
+    MIXED = "Çağrı İzmir\u2019e gitti; ĞÜŞÖ ıi Iİ ſK\u212a \u0430? 42\U0001f642 Qwx b.\n"
+    MIXED_RECORDS = (
+        "A\t1\t0.038462\nB\t1\t0.038462\nC\t0\t0.000000\nÇ\t1\t0.038462\nD\t0\t0.000000\n"
+        "E\t1\t0.038462\nF\t0\t0.000000\nG\t1\t0.038462\nĞ\t2\t0.076923\nH\t0\t0.000000\n"
+        "I\t3\t0.115385\nİ\t6\t0.230769\nJ\t0\t0.000000\nK\t1\t0.038462\nL\t0\t0.000000\n"
+        "M\t1\t0.038462\nN\t0\t0.000000\nO\t0\t0.000000\nÖ\t1\t0.038462\nP\t0\t0.000000\n"
+        "R\t2\t0.076923\nS\t0\t0.000000\nŞ\t1\t0.038462\nT\t2\t0.076923\nU\t0\t0.000000\n"
+        "Ü\t1\t0.038462\nV\t0\t0.000000\nY\t0\t0.000000\nZ\t1\t0.038462\n"
+    )
+    MIXED_TEXT = (
+        "letters: 26\n"
+        "A         1  0.038462\nB         1  0.038462\nC         0  0.000000\n"
+        "Ç         1  0.038462\nD         0  0.000000\nE         1  0.038462\n"
+        "F         0  0.000000\nG         1  0.038462\nĞ         2  0.076923\n"
+        "H         0  0.000000\nI         3  0.115385\nİ         6  0.230769\n"
+        "J         0  0.000000\nK         1  0.038462\nL         0  0.000000\n"
+        "M         1  0.038462\nN         0  0.000000\nO         0  0.000000\n"
+        "Ö         1  0.038462\nP         0  0.000000\nR         2  0.076923\n"
+        "S         0  0.000000\nŞ         1  0.038462\nT         2  0.076923\n"
+        "U         0  0.000000\nÜ         1  0.038462\nV         0  0.000000\n"
+        "Y         0  0.000000\nZ         1  0.038462\n"
+    )
+
+    def test_analyze_output_is_frozen(self):
+        for fmt, want in (("text", self.MIXED_TEXT), ("records", self.MIXED_RECORDS)):
+            code, out, err = run("analyze", "--format", fmt, stdin=self.MIXED.encode())
+            assert (code, err) == (0, b"")
+            assert out.decode() == want
+        for stdin in (b"", "12 \u017f\u212a \u0430?\n".encode()):
+            code, out, err = run("analyze", stdin=stdin)
+            assert (code, out, err) == (2, b"", b"error: EmptyText: no letters to count\n")
+
     def test_crack_recovers_shift(self, corpus_path: pathlib.Path, corpus_text: str):
         ciphertext = shift_encrypt(corpus_text[:900], 7)
         code, out, err = run(

@@ -53,8 +53,8 @@ _ENV = {
 _HEAVY = {"dgcipher.classical", "dgcipher.analysis", "dataclasses"}
 _NO_CIPHERS = {"dgcipher.cascade", "dgcipher.classical", "dataclasses"}
 _SUBSTITUTION = {"dgcipher.analysis", "dgcipher.keyset", "dgcipher.cascade", "dataclasses", "string"}
-# A call loads the command module of its own family alone, and the grid
-# ciphers only when it runs one.
+# A call loads the command module of its own family alone, the grid
+# ciphers only when it runs one, and analysis only for crack and flatness.
 _CASCADE_FAMILY = _HEAVY | {"dgcipher.grids", "dgcipher.cli_classical", "dgcipher.cli_analysis"}
 _ANALYSIS_FAMILY = _NO_CIPHERS | {"dgcipher.cli_cascade", "dgcipher.cli_classical"}
 _SUBSTITUTION_CALL = _SUBSTITUTION | {"dgcipher.grids", "dgcipher.cli_cascade", "dgcipher.cli_analysis"}
@@ -131,6 +131,8 @@ def test_cli_call_loads_only_what_it_runs(bare, workdir, argv: str, absent: set[
     added = _modules(_CLI_THEN_MODULES, command, *rest, cwd=workdir) - bare
     assert {"dgcipher.text_model", _FAMILY[command]} <= added
     assert ("dgcipher.grids" in added) is (rest[0] in _GRID_CIPHERS)
+    # analyze counts letters with text_model alone.
+    assert ("dgcipher.analysis" in added) is (command in ("crack", "flatness"))
     # Run as __main__, the CLI module would load a second time if imported.
     assert added & (absent | {"dgcipher.cli"}) == set()
 
@@ -161,7 +163,7 @@ def test_cascade_calls_import_no_typing(bare_no_site, workdir, argv: str):
             "dgcipher.classical",
         ),
         ("classical playfair --keyword kalem --in msg.txt --out out.txt", "dgcipher.grids"),
-        ("analyze --in msg.txt --out out.txt", "dgcipher.analysis"),
+        ("analyze --in msg.txt --out out.txt", "dgcipher.cli_analysis"),
         ("crack --reference corpus.txt --in msg.txt --out out.txt", "dgcipher.analysis"),
         (
             "flatness --key paper --reference corpus.txt --in corpus.txt --out out.txt",

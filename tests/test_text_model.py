@@ -17,7 +17,9 @@ from dgcipher.text_model import (
     LETTERS,
     LetterUnit,
     Passthrough,
+    letter_counts,
     render,
+    strip_passthrough,
     substitution_table,
     tokenize,
     translate_periodic,
@@ -97,6 +99,35 @@ class TestTokenize:
     @given(st.text())
     def test_render_inverts_tokenize(self, message: str):
         assert render(tokenize(message)) == message
+
+
+# Any code point, lone surrogates included, and the letters, the i forms
+# and look-alikes of letters (long s, Kelvin sign, Cyrillic a) often.
+any_texts = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from(LETTERS + "ıİiIſ\u212a\u0430?")
+)
+
+
+def per_char_letter_counts(text: str) -> dict[str, int]:
+    counts = dict.fromkeys(ALPHABET, 0)
+    for c in text:
+        if c in LETTERS:
+            counts[ALPHABET[LETTERS.index(c) % ALPHABET_SIZE]] += 1
+    return counts
+
+
+class TestLetterCounts:
+    @given(any_texts, st.lists(st.integers(min_value=0, max_value=60)))
+    def test_matches_a_per_character_count_over_any_split(self, text: str, cuts: list[int]):
+        bounds = [0, *sorted(min(cut, len(text)) for cut in cuts), len(text)]
+        chunks = [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        counts = letter_counts(chunks)
+        assert counts == per_char_letter_counts(text)
+        assert list(counts) == list(ALPHABET)
+
+    @given(any_texts)
+    def test_strip_passthrough_keeps_the_letters_in_their_case(self, text: str):
+        assert strip_passthrough(text) == "".join(c for c in text if c in LETTERS)
 
 
 class TestGrouping:
