@@ -15,9 +15,9 @@ from .errors import EmptyText, ShiftOutOfRange, TooShort
 from .text_model import (
     ALPHABET,
     ALPHABET_SIZE,
+    LETTERS,
     IndexMode,
-    letter_counts,
-    strip_passthrough,
+    phase_counts,
     substitution_table,
     translate_periodic,
 )
@@ -25,7 +25,7 @@ from .text_model import (
 # Annotation-only names; `typing` is not imported at run time.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Mapping
+    from collections.abc import Iterable, Sequence
 
     from .keyset import CascadeKeySet
 
@@ -66,7 +66,7 @@ def letter_frequencies(text: str) -> FrequencyTable:
     Raises:
         EmptyText: the text contains no letters at all.
     """
-    return _table_from_counts(letter_counts((text,)))
+    return build_reference_table(text)
 
 
 def build_reference_table(chunks: Iterable[str]) -> FrequencyTable:
@@ -75,9 +75,7 @@ def build_reference_table(chunks: Iterable[str]) -> FrequencyTable:
     Accepts any iterable of strings (a plain string counts as one chunk),
     so a large corpus file can be streamed with constant memory.
     """
-    if isinstance(chunks, str):
-        chunks = [chunks]
-    return _table_from_counts(letter_counts(chunks))
+    return _table_from_counts(dict(zip(ALPHABET, phase_counts(chunks)[0])))
 
 
 class SubstitutionGuess(namedtuple("SubstitutionGuess", "mapping")):
@@ -111,12 +109,19 @@ def chi_squared_distance(observed: FrequencyTable, expected: FrequencyTable) -> 
     reference cannot zero a denominator; identical tables score exactly 0.
     The measure is asymmetric: expected provides the denominators.
     """
-    total = 0.0
-    for letter in ALPHABET:
-        fo = observed.frequency(letter)
+    row = [observed.counts[letter] for letter in ALPHABET]
+    return _chi_squared(row, observed.total_letters, expected)
+
+
+def _chi_squared(row: Sequence[int], total: int, expected: FrequencyTable) -> float:
+    # Chi-squared distance of a count row in alphabet order. The terms are
+    # added one by one in alphabet order (sum() may round differently), so
+    # every caller gets the same float for the same counts.
+    distance = 0.0
+    for n, letter in zip(row, ALPHABET):
         fe = expected.frequency(letter)
-        total += (fo - fe) ** 2 / max(fe, CHI_SQUARED_FLOOR)
-    return total
+        distance += (n / total - fe) ** 2 / max(fe, CHI_SQUARED_FLOOR)
+    return distance
 
 
 class ShiftGuess(namedtuple("ShiftGuess", "shift low_confidence distances")):
@@ -142,17 +147,11 @@ def crack_shift(
     """
     observed = build_reference_table(ciphertext)
     row = [observed.counts[letter] for letter in ALPHABET]
-    expected = [reference.frequency(letter) for letter in ALPHABET]
-    floors = [max(fe, CHI_SQUARED_FLOOR) for fe in expected]
-    distances: list[float] = []
-    for k in range(ALPHABET_SIZE):
-        # Decrypting by k rotates the count row; no need to rewrite the text.
-        # The terms are added one by one in alphabet order, as
-        # chi_squared_distance adds them (sum() may round differently).
-        total = 0.0
-        for n, fe, floor in zip(row[k:] + row[:k], expected, floors):
-            total += (n / observed.total_letters - fe) ** 2 / floor
-        distances.append(total)
+    # Decrypting by k rotates the count row; no need to rewrite the text.
+    distances = [
+        _chi_squared(row[k:] + row[:k], observed.total_letters, reference)
+        for k in range(ALPHABET_SIZE)
+    ]
     best = min(range(ALPHABET_SIZE), key=lambda k: (distances[k], k))
     return ShiftGuess(
         shift=best,
@@ -214,25 +213,26 @@ class FlatnessReport(namedtuple("FlatnessReport", (
 
 
 def _cipher_profile(
-    phases: tuple[tuple[Mapping[str, int], str], ...], reference: FrequencyTable
+    phases: tuple[tuple[Sequence[int], str], ...], reference: FrequencyTable
 ) -> tuple[FrequencyTable, float]:
     """Letter table of a ciphertext and the share of its letters rank matching recovers.
 
     Each phase pairs the counts of the plaintext letters the cipher sends
-    through one row with that row, which maps ALPHABET[j] to row[j]. The
-    guess is the one rank_match_attack derives from the ciphertext; a
-    letter is recovered when the guess maps its image back to it.
+    through one row, in alphabet order, with that row, which maps
+    ALPHABET[j] to row[j]. The guess is the one rank_match_attack derives
+    from the ciphertext; a letter is recovered when the guess maps its
+    image back to it.
     """
     counts = dict.fromkeys(ALPHABET, 0)
     for plain, row in phases:
-        for letter, image in zip(ALPHABET, row):
-            counts[image] += plain[letter]
+        for n, image in zip(plain, row):
+            counts[image] += n
     table = _table_from_counts(counts)
     guess = dict(zip(table.ranked(), reference.ranked()))
     recovered = sum(
-        plain[letter]
+        n
         for plain, row in phases
-        for letter, image in zip(ALPHABET, row)
+        for letter, n, image in zip(ALPHABET, plain, row)
         if guess[image] == letter
     )
     return table, recovered / table.total_letters
@@ -257,26 +257,18 @@ def flatness_report(
     (the cascade's by position parity, counted as `mode` says), so
     everything follows from the plaintext's letter counts per phase;
     neither ciphertext is built. The plaintext may come as an iterable of
-    chunks (a plain string counts as one chunk); the counts are summed
-    chunk by chunk with the phase carried over, so memory use is bounded
-    by chunk size.
+    chunks (a plain string counts as one chunk); text_model.phase_counts
+    sums the counts chunk by chunk with the phase carried over, so memory
+    use is bounded by chunk size.
 
     Raises:
         EmptyText: no letters at all.
         TooShort: fewer than min_letters letters of plaintext.
         ShiftOutOfRange: shift_k outside 0..28.
     """
-    if isinstance(plaintext, str):
-        plaintext = [plaintext]
-    even, odd = dict.fromkeys(ALPHABET, 0), dict.fromkeys(ALPHABET, 0)
-    phase = 0
-    for chunk in plaintext:
-        text = strip_passthrough(chunk) if mode is IndexMode.LETTERS_ONLY else chunk
-        for counts, start in ((even, phase), (odd, 1 - phase)):
-            for letter, n in letter_counts((text[start::2],)).items():
-                counts[letter] += n
-        phase = (phase + len(text)) % 2
-    plain_table = _table_from_counts({letter: even[letter] + odd[letter] for letter in ALPHABET})
+    even, odd = phase_counts(plaintext, 2, LETTERS if mode is IndexMode.LETTERS_ONLY else None)
+    plain = [e + o for e, o in zip(even, odd)]
+    plain_table = _table_from_counts(dict(zip(ALPHABET, plain)))
     if plain_table.total_letters < min_letters:
         raise TooShort(
             f"need at least {min_letters} letters, got {plain_table.total_letters}"
@@ -284,7 +276,7 @@ def flatness_report(
     if not 0 <= shift_k < ALPHABET_SIZE:
         raise ShiftOutOfRange(f"shift must be in 0..{ALPHABET_SIZE - 1}: {shift_k}")
     shift_row = ALPHABET[shift_k:] + ALPHABET[:shift_k]
-    shift_table, shift_accuracy = _cipher_profile(((plain_table.counts, shift_row),), reference)
+    shift_table, shift_accuracy = _cipher_profile(((plain, shift_row),), reference)
     group1, group2 = keyset.composite_rows
     cascade_table, cascade_accuracy = _cipher_profile(((even, group1), (odd, group2)), reference)
     return FlatnessReport(

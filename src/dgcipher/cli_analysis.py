@@ -7,7 +7,7 @@ import sys
 
 from .cli_io import _add_index_mode, _add_io_flags, _input_chunks, _nonnegative, _resolve_keyset, _write_all
 from .errors import EmptyText
-from .text_model import IndexMode, letter_counts
+from .text_model import ALPHABET, IndexMode, phase_counts
 
 
 def _letter_table(path: str | None):
@@ -20,15 +20,15 @@ def _letter_table(path: str | None):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # Counted here rather than through analysis.FrequencyTable, so that
     # the call compiles no analysis module.
-    counts = letter_counts(_input_chunks(args.infile))
-    total = sum(counts.values())
+    counts = phase_counts(_input_chunks(args.infile))[0]
+    total = sum(counts)
     if total == 0:
         raise EmptyText("no letters to count")
     if args.format == "records":
-        lines = [f"{letter}\t{n}\t{n / total:.6f}" for letter, n in counts.items()]
+        lines = [f"{letter}\t{n}\t{n / total:.6f}" for letter, n in zip(ALPHABET, counts)]
     else:
         lines = [f"letters: {total}"]
-        lines += [f"{letter}  {n:>8}  {n / total:.6f}" for letter, n in counts.items()]
+        lines += [f"{letter}  {n:>8}  {n / total:.6f}" for letter, n in zip(ALPHABET, counts)]
     _write_all(args.outfile, ["\n".join(lines) + "\n"])
     return 0
 

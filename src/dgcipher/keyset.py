@@ -24,6 +24,7 @@ whitespace.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
@@ -49,7 +50,7 @@ RNG_NAME = "splitmix64"
 _MASK64 = (1 << 64) - 1
 
 
-class SubstitutionAlphabet:
+class SubstitutionAlphabet(namedtuple("SubstitutionAlphabet", "letters")):
     """A bijection on the 29 letters, stored as its image row.
 
     letters[j] is the image of the canonical letter with index j, so the
@@ -61,9 +62,9 @@ class SubstitutionAlphabet:
         DuplicateLetter: a letter repeats.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
-    def __init__(self, letters: str):
+    def __new__(cls, letters: str) -> SubstitutionAlphabet:
         if len(letters) != ALPHABET_SIZE:
             raise WrongLength(f"expected {ALPHABET_SIZE} letters, got {len(letters)}")
         seen = set()
@@ -73,37 +74,27 @@ class SubstitutionAlphabet:
             if letter in seen:
                 raise DuplicateLetter(f"letter {letter} appears twice")
             seen.add(letter)
-        self.letters = letters
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SubstitutionAlphabet):
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def __repr__(self) -> str:
-        return f"SubstitutionAlphabet({self.letters!r})"
+        return super().__new__(cls, letters)
 
 
-class CascadeKeySet:
+class CascadeKeySet(namedtuple("CascadeKeySet", "group1 group2 final")):
     """Seven alphabets: three stages per group plus the shared final one.
 
     A value object: keysets with equal alphabets compare and hash equal,
-    and assigning or deleting an attribute raises AttributeError.
+    and assigning or deleting an attribute raises AttributeError. It has
+    no __slots__, so the cached rows below live in its __dict__, written
+    past __setattr__.
     """
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         group1: tuple[SubstitutionAlphabet, SubstitutionAlphabet, SubstitutionAlphabet],
         group2: tuple[SubstitutionAlphabet, SubstitutionAlphabet, SubstitutionAlphabet],
         final: SubstitutionAlphabet,
-    ):
+    ) -> CascadeKeySet:
         if len(group1) != 3 or len(group2) != 3:
             raise WrongLength("each group needs exactly 3 stage alphabets")
-        # Fields and the cached rows below live in __dict__, written past __setattr__.
-        vars(self).update(group1=group1, group2=group2, final=final)
+        return super().__new__(cls, group1, group2, final)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to CascadeKeySet.{name}")
@@ -111,24 +102,9 @@ class CascadeKeySet:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete CascadeKeySet.{name}")
 
-    def _alphabets(self) -> tuple:
-        return self.group1, self.group2, self.final
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CascadeKeySet):
-            return self._alphabets() == other._alphabets()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._alphabets())
-
-    def __repr__(self) -> str:
-        return f"CascadeKeySet(group1={self.group1!r}, group2={self.group2!r}, final={self.final!r})"
-
     def rows(self) -> Iterator[tuple[str, SubstitutionAlphabet]]:
         """Yield (label, alphabet) pairs in key file order."""
-        alphabets = (*self.group1, *self.group2, self.final)
-        return iter(zip(ROW_LABELS, alphabets))
+        return zip(ROW_LABELS, (*self.group1, *self.group2, self.final))
 
     @cached_property
     def composite_rows(self) -> tuple[str, str]:

@@ -25,7 +25,9 @@ Counted over letters, period two picks each byte from the text translated
 by either table; any other period translates the letters alone and
 scatters them back through one "%c" template. translate_stream carries
 the phase from one chunk of a text to the next. Letter counting
-(letter_counts) works on the same Latin-5 bytes, folded to uppercase.
+(phase_counts) works on the same Latin-5 bytes, folded to uppercase,
+and keeps the same phase rule: it counts each letter per phase, so a
+period-p cipher's statistics come from one pass over the plaintext.
 """
 
 from __future__ import annotations
@@ -76,28 +78,40 @@ def to_lower_tr(text: str) -> str:
     return "".join(_LOWER_SPECIAL.get(c, c.lower()) for c in text)
 
 
-def strip_passthrough(text: str) -> str:
-    """The letters of a text in their own case, passthrough dropped."""
-    return text.encode(_LATIN5, "replace").translate(None, _NOT_LETTER_BYTES).decode(_LATIN5)
-
-
 def canonical_letters(text: str) -> str:
     """The letters of a text in canonical uppercase, passthrough dropped."""
     return text.encode(_LATIN5, "replace").translate(_UPPER_BYTES, _NOT_LETTER_BYTES).decode(_LATIN5)
 
 
-def letter_counts(chunks: Iterable[str]) -> dict[str, int]:
-    """Count each canonical letter, its lowercase form included, over a text in chunks.
+def phase_counts(
+    chunks: Iterable[str], period: int = 1, letters: str | None = None
+) -> list[list[int]]:
+    """Count each canonical letter per phase over a text in chunks.
 
-    Only the 58 exact letter forms count: each chunk is folded to
-    uppercase on its Latin-5 bytes, where every code point Latin-5 lacks
-    is a "?" and every other character outside the 58 is a non-letter byte.
+    The i-th counted character is in phase i % period, counted as
+    translate_periodic counts: every character with letters None, or
+    only those in letters (such as LETTERS). The phase is carried from
+    one chunk to the next, and a plain string counts as one chunk.
+
+    Returns period rows of ALPHABET_SIZE counts in ALPHABET order; a
+    letter's lowercase form counts as the letter. Only the 58 exact letter
+    forms count: each chunk is folded to uppercase on its Latin-5 bytes,
+    where every code point Latin-5 lacks is a "?" and every other
+    character outside the 58 is a non-letter byte.
     """
-    counts = [0] * ALPHABET_SIZE
+    if isinstance(chunks, str):
+        chunks = (chunks,)
+    others = b"" if letters is None else bytes(set(range(256)).difference(letters.encode(_LATIN5)))
+    rows = [[0] * ALPHABET_SIZE for _ in range(period)]
+    phase = 0
     for chunk in chunks:
-        folded = chunk.encode(_LATIN5, "replace").translate(_UPPER_BYTES)
-        counts = list(map(add, counts, map(folded.count, _ALPHABET_BYTES)))
-    return dict(zip(ALPHABET, counts))
+        folded = chunk.encode(_LATIN5, "replace").translate(_UPPER_BYTES, others)
+        for r in range(period):
+            # Byte j is in phase (phase + j) % period.
+            part = folded[(r - phase) % period::period]
+            rows[r] = list(map(add, rows[r], map(part.count, _ALPHABET_BYTES)))
+        phase = (phase + len(folded)) % period
+    return rows
 
 
 def substitution_table(

@@ -16,11 +16,13 @@ import pytest
 
 import dgcipher
 from dgcipher import (
+    ALPHABET,
     CascadeKeySet,
     FrequencyTable,
     PlayfairSpec,
     PolybiusSpec,
     ShiftGuess,
+    SubstitutionAlphabet,
     SubstitutionGuess,
     canonical_grid,
     example_keyset,
@@ -208,6 +210,7 @@ def _records(reference):
     return [
         (lambda: LetterUnit("Ç", True), ("letter", "was_lowercase"), True),
         (lambda: Passthrough("!"), ("raw",), True),
+        (lambda: SubstitutionAlphabet(ALPHABET), ("letters",), True),
         (example_keyset, ("group1", "group2", "final"), True),
         (lambda: letter_frequencies(plain), ("counts", "total_letters"), False),
         (lambda: rank_match_attack(plain, reference), ("mapping",), False),

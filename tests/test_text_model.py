@@ -17,9 +17,8 @@ from dgcipher.text_model import (
     LETTERS,
     LetterUnit,
     Passthrough,
-    letter_counts,
+    phase_counts,
     render,
-    strip_passthrough,
     substitution_table,
     tokenize,
     translate_periodic,
@@ -108,26 +107,28 @@ any_texts = st.text(
 )
 
 
-def per_char_letter_counts(text: str) -> dict[str, int]:
-    counts = dict.fromkeys(ALPHABET, 0)
-    for c in text:
+def per_char_phase_counts(text: str, period: int, letters: str | None) -> list[list[int]]:
+    rows = [[0] * ALPHABET_SIZE for _ in range(period)]
+    counted = [c for c in text if letters is None or c in letters]
+    for i, c in enumerate(counted):
         if c in LETTERS:
-            counts[ALPHABET[LETTERS.index(c) % ALPHABET_SIZE]] += 1
-    return counts
+            rows[i % period][LETTERS.index(c) % ALPHABET_SIZE] += 1
+    return rows
 
 
 class TestLetterCounts:
-    @given(any_texts, st.lists(st.integers(min_value=0, max_value=60)))
-    def test_matches_a_per_character_count_over_any_split(self, text: str, cuts: list[int]):
+    @given(
+        any_texts,
+        st.lists(st.integers(min_value=0, max_value=60)),
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([None, LETTERS]),
+    )
+    def test_matches_a_per_character_count_over_any_split(
+        self, text: str, cuts: list[int], period: int, letters: str | None
+    ):
         bounds = [0, *sorted(min(cut, len(text)) for cut in cuts), len(text)]
         chunks = [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
-        counts = letter_counts(chunks)
-        assert counts == per_char_letter_counts(text)
-        assert list(counts) == list(ALPHABET)
-
-    @given(any_texts)
-    def test_strip_passthrough_keeps_the_letters_in_their_case(self, text: str):
-        assert strip_passthrough(text) == "".join(c for c in text if c in LETTERS)
+        assert phase_counts(chunks, period, letters) == per_char_phase_counts(text, period, letters)
 
 
 class TestGrouping:
