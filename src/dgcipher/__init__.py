@@ -7,9 +7,9 @@ alphabet, letter frequency analysis tools, and a command line front end.
 Every public name is importable from the package, but its module is only
 loaded when the name is first used (PEP 562), so a CLI call pays for the
 modules its subcommand runs and no more. For the same reason the records
-are `collections.namedtuple` subclasses or small plain classes, and no
-call path imports `dataclasses` (which imports `inspect`) or `typing`:
-either would add milliseconds to every call.
+are `collections.namedtuple` subclasses, and no call path imports
+`dataclasses` (which imports `inspect`) or `typing`: either would add
+milliseconds to every call.
 """
 
 from importlib import import_module
@@ -39,7 +39,6 @@ _EXPORTS = {
     ),
     "classical": (
         "atbash",
-        "otp_keygen",
         "shift_decrypt",
         "shift_encrypt",
         "vernam_decrypt",
@@ -92,6 +91,7 @@ _EXPORTS = {
         "example_keyset",
         "generate_keyset",
         "keyspace_size",
+        "otp_keygen",
         "parse_keyset",
         "serialize_keyset",
     ),

@@ -50,7 +50,7 @@ class FrequencyTable(namedtuple("FrequencyTable", "counts total_letters")):
 
     def ranked(self) -> list[str]:
         """Letters from most to least frequent; ties break in alphabet order."""
-        return sorted(ALPHABET, key=lambda l: (-self.counts[l], ALPHABET.index(l)))
+        return sorted(ALPHABET, key=lambda l: -self.counts[l])
 
 
 def _table_from_counts(counts: dict[str, int]) -> FrequencyTable:

@@ -11,9 +11,10 @@ Because every step is a fixed bijection, each group collapses to a single
 composite permutation, which the keyset computes once
 (CascadeKeySet.composite_rows) and composite_table() exposes. The whole
 cipher is therefore a period-two substitution: each composite row becomes
-a case-aware byte table, and text_model.translate_stream sends the even
-zero-based positions (or letter ordinals) through the GROUP1 table and
-the odd ones through the GROUP2 table.
+a case-aware byte table (read backwards, from row to alphabet, to
+decrypt), and text_model.translate_stream sends the even zero-based
+positions (or letter ordinals) through the GROUP1 table and the odd ones
+through the GROUP2 table.
 
 Passthrough characters are copied verbatim and, in ALL_CHARS mode, still
 advance the position counter; in LETTERS_ONLY mode only letters advance
@@ -49,7 +50,8 @@ def encrypt_letter(letter: str, group: Group, keyset: CascadeKeySet) -> str:
 
 def decrypt_letter(letter: str, group: Group, keyset: CascadeKeySet) -> str:
     """Invert encrypt_letter: the letter the group's pipeline sends here."""
-    return keyset.inverse_rows[_ROW[group]][letter_index(letter)]
+    letter_index(letter)  # rejects anything but a canonical letter
+    return ALPHABET[keyset.composite_rows[_ROW[group]].index(letter)]
 
 
 def transform_stream(
@@ -64,8 +66,8 @@ def transform_stream(
     The position counters are global across the stream: one stream is one
     message, however it is split, so memory use is bounded by chunk size.
     """
-    rows = keyset.inverse_rows if decrypt else keyset.composite_rows
-    tables = tuple(substitution_table(ALPHABET, row) for row in rows)
+    pairs = ((row, ALPHABET) if decrypt else (ALPHABET, row) for row in keyset.composite_rows)
+    tables = tuple(substitution_table(*pair) for pair in pairs)
     return translate_stream(chunks, tables, LETTERS if mode is IndexMode.LETTERS_ONLY else None)
 
 

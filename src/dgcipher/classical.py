@@ -4,7 +4,8 @@ Shift, atbash, vigenere and vernam keep passthrough characters in place
 and preserve letter case. Shift, atbash and vigenere also come as
 *_stream functions, which check their arguments at once and then
 transform a text delivered in chunks. The grid and transposition ciphers
-are in `grids`, so a substitution call does not load them.
+are in `grids`, so a substitution call does not load them. A one-time-pad
+key for vernam is drawn from a seed with the cascade key material.
 """
 
 from __future__ import annotations
@@ -154,12 +155,3 @@ def vernam_decrypt(message: str, key: str) -> str:
     """Invert vernam_encrypt with the same key."""
     return _vernam(message, key, -1)
 
-
-def otp_keygen(length: int, seed: int) -> str:
-    """Generate a deterministic uniform letter key of the given length."""
-    if length < 0:
-        raise ValueError(f"length must not be negative: {length}")
-    from .keyset import SplitMix64
-
-    rng = SplitMix64(seed)
-    return "".join(ALPHABET[rng.below(ALPHABET_SIZE)] for _ in range(length))

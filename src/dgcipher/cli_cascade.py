@@ -43,11 +43,9 @@ def _cmd_cascade(args: argparse.Namespace, *, decrypt: bool) -> int:
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
-    from .keyset import RNG_NAME, generate_keyset, serialize_keyset
+    from .keyset import RNG_NAME, generate_keyset, otp_keygen, serialize_keyset
 
     if args.otp_length is not None:
-        from .classical import otp_keygen
-
         payload = otp_keygen(args.otp_length, args.seed) + "\n"
     else:
         payload = serialize_keyset(generate_keyset(args.seed), rng_name=RNG_NAME)

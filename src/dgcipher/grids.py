@@ -26,11 +26,6 @@ from .errors import (
 )
 from .text_model import ALPHABET, LETTERS, canonical_letters, to_upper_tr
 
-# Annotation-only names; `typing` is not imported at run time.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from collections.abc import Iterable
-
 
 # --- playfair (5x5 digram cipher) ---
 
@@ -53,21 +48,15 @@ class PlayfairSpec(namedtuple("PlayfairSpec", "keyword padding", defaults=("M",)
     __slots__ = ()
 
 
-class PlayfairTable:
-    """A 5x5 arrangement of the 25 letter cells."""
+class PlayfairTable(namedtuple("PlayfairTable", "cells")):
+    """A 5x5 arrangement of the 25 letter cells, row by row."""
 
-    __slots__ = ("cells", "_where")
-
-    def __init__(self, cells: Iterable[tuple[str, ...]]):
-        self.cells = tuple(cells)
-        self._where = {
-            letter: divmod(i, 5) for i, cell in enumerate(self.cells) for letter in cell
-        }
+    __slots__ = ()
 
     def position_of(self, letter: str) -> tuple[int, int]:
         try:
-            return self._where[letter]
-        except KeyError:
+            return divmod(self.cells.index(_CELL_OF[letter]), 5)
+        except (KeyError, ValueError):
             raise LetterNotInGrid(f"letter {letter!r} has no cell") from None
 
     def representative_at(self, row: int, col: int) -> str:
@@ -89,20 +78,27 @@ def playfair_build(keyword: str) -> PlayfairTable:
         if cell not in ordered:
             ordered.append(cell)
     ordered.extend(cell for cell in _CELLS_CANONICAL if cell not in ordered)
-    return PlayfairTable(ordered)
+    return PlayfairTable(tuple(ordered))
 
 
-def _playfair_pairs(letters: str, padding: str, table: PlayfairTable) -> list[tuple[str, str]]:
+def _playfair_positions(table: PlayfairTable) -> dict[str, tuple[int, int]]:
+    # position_of searches the cells; one call looks each letter up once.
+    return {letter: table.position_of(letter) for letter in ALPHABET}
+
+
+def _playfair_pairs(
+    letters: str, padding: str, where: dict[str, tuple[int, int]]
+) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     i = 0
     while i < len(letters):
         a = letters[i]
-        if i + 1 < len(letters) and not table.same_cell(a, letters[i + 1]):
+        if i + 1 < len(letters) and where[a] != where[letters[i + 1]]:
             pairs.append((a, letters[i + 1]))
             i += 2
             continue
         # Same-cell neighbor or trailing single letter: pair with padding.
-        if table.same_cell(a, padding):
+        if where[a] == where[padding]:
             raise PaddingInSameCellAsNeighbor(
                 f"padding {padding!r} shares a cell with {a!r}"
             )
@@ -118,8 +114,10 @@ def _padding_letter(spec: PlayfairSpec) -> str:
     return folded
 
 
-def _playfair_map(pair: tuple[str, str], table: PlayfairTable, shift: int) -> tuple[str, str]:
-    (ra, ca), (rb, cb) = table.position_of(pair[0]), table.position_of(pair[1])
+def _playfair_map(
+    pair: tuple[str, str], table: PlayfairTable, where: dict[str, tuple[int, int]], shift: int
+) -> tuple[str, str]:
+    (ra, ca), (rb, cb) = where[pair[0]], where[pair[1]]
     if ra == rb:
         return table.representative_at(ra, (ca + shift) % 5), table.representative_at(rb, (cb + shift) % 5)
     if ca == cb:
@@ -132,8 +130,9 @@ def playfair_encrypt(message: str, spec: PlayfairSpec) -> str:
     otherwise swap columns. Output letters are the cell representatives."""
     table = playfair_build(spec.keyword)
     padding = _padding_letter(spec)
-    pairs = _playfair_pairs(canonical_letters(message), padding, table)
-    return "".join("".join(_playfair_map(p, table, +1)) for p in pairs)
+    where = _playfair_positions(table)
+    pairs = _playfair_pairs(canonical_letters(message), padding, where)
+    return "".join("".join(_playfair_map(p, table, where, +1)) for p in pairs)
 
 
 def playfair_decrypt(message: str, spec: PlayfairSpec) -> str:
@@ -147,7 +146,8 @@ def playfair_decrypt(message: str, spec: PlayfairSpec) -> str:
     if len(letters) % 2:
         raise OddLengthCiphertext(f"{len(letters)} letters cannot form digrams")
     pairs = [(letters[i], letters[i + 1]) for i in range(0, len(letters), 2)]
-    return "".join("".join(_playfair_map(p, table, -1)) for p in pairs)
+    where = _playfair_positions(table)
+    return "".join("".join(_playfair_map(p, table, where, -1)) for p in pairs)
 
 
 # --- polybius (coordinate grid) ---

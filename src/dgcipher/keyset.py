@@ -1,9 +1,10 @@
-"""Key material for the cascade cipher.
+"""Key material: cascade keysets and one-time-pad keys.
 
 A cascade keyset is seven substitution alphabets: three chained stages per
 group plus one final alphabet shared by both groups. Each alphabet is a
 bijection on the 29 canonical letters, so the keyset space has (29!)**7
-members.
+members. Keysets and one-time-pad keys are drawn from one 64-bit seed
+rule (splitmix64, below).
 
 Key files use a small line format:
 
@@ -82,8 +83,8 @@ class CascadeKeySet(namedtuple("CascadeKeySet", "group1 group2 final")):
 
     A value object: keysets with equal alphabets compare and hash equal,
     and assigning or deleting an attribute raises AttributeError. It has
-    no __slots__, so the cached rows below live in its __dict__, written
-    past __setattr__.
+    no __slots__, so the composite rows it caches live in its __dict__,
+    written past __setattr__.
     """
 
     def __new__(
@@ -124,11 +125,6 @@ class CascadeKeySet(namedtuple("CascadeKeySet", "group1 group2 final")):
             rows.append(row.translate(predecessor))
         return tuple(rows)
 
-    @cached_property
-    def inverse_rows(self) -> tuple[str, str]:
-        """The inverses of composite_rows: entry j is the preimage of ALPHABET[j]."""
-        return tuple(ALPHABET.translate(str.maketrans(row, ALPHABET)) for row in self.composite_rows)
-
 
 # The worked-example keyset bundled with the toolkit. The CLI accepts it
 # under the reserved key name "paper".
@@ -153,11 +149,15 @@ class SplitMix64:
     """splitmix64 pseudo random generator.
 
     The algorithm is tiny and frozen on purpose: a seed recorded next to a
-    key file must regenerate the identical keyset on any platform, forever.
+    key file must regenerate the identical keyset or one-time pad on any
+    platform, forever. It takes no seed outside 64 unsigned bits (raising
+    SeedOutOfRange), so no two recorded seeds can stand for one stream.
     """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise SeedOutOfRange(f"seed must fit in 64 unsigned bits: {seed}")
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -187,11 +187,17 @@ def _shuffled_row(rng: SplitMix64) -> SubstitutionAlphabet:
 
 def generate_keyset(seed: int) -> CascadeKeySet:
     """Generate the seven alphabets deterministically from a 64-bit seed."""
-    if not 0 <= seed <= _MASK64:
-        raise SeedOutOfRange(f"seed must fit in 64 unsigned bits: {seed}")
     rng = SplitMix64(seed)
     rows = [_shuffled_row(rng) for _ in range(7)]
     return CascadeKeySet(group1=tuple(rows[0:3]), group2=tuple(rows[3:6]), final=rows[6])
+
+
+def otp_keygen(length: int, seed: int) -> str:
+    """Generate a deterministic uniform letter key of the given length."""
+    if length < 0:
+        raise ValueError(f"length must not be negative: {length}")
+    rng = SplitMix64(seed)
+    return "".join(ALPHABET[rng.below(ALPHABET_SIZE)] for _ in range(length))
 
 
 def keyspace_size() -> int:
@@ -228,9 +234,8 @@ def parse_keyset(text: str) -> CascadeKeySet:
             valid alphabet; the message names the offending row.
     """
     lines = text.split("\n")
-    if not lines or lines[0].strip() != HEADER:
-        found = lines[0].strip() if lines else ""
-        raise BadHeader(f"expected {HEADER!r}, found {found!r}")
+    if lines[0].strip() != HEADER:
+        raise BadHeader(f"expected {HEADER!r}, found {lines[0].strip()!r}")
 
     body = [
         line.strip()

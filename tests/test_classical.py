@@ -624,6 +624,8 @@ class TestOtpKeygen:
     def test_deterministic(self):
         assert otp_keygen(50, seed=9) == otp_keygen(50, seed=9)
         assert otp_keygen(50, seed=9) != otp_keygen(50, seed=10)
+        # A pad recorded by its seed must regenerate identically forever.
+        assert otp_keygen(29, seed=424242) == "USFĞTPZTŞÇZMSUYĞRRRPÇEATĞÇEBÖ"
 
     def test_zero_length(self):
         assert otp_keygen(0, seed=3) == ""

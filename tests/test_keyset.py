@@ -115,6 +115,10 @@ class TestGenerateKeyset:
         with pytest.raises(SeedOutOfRange):
             generate_keyset(2**64)
         generate_keyset(2**64 - 1)
+        with pytest.raises(SeedOutOfRange):
+            otp_keygen(1, -1)
+        with pytest.raises(SeedOutOfRange):
+            otp_keygen(1, 2**64)
 
     def test_otp_keygen_same_stream_family(self):
         key = otp_keygen(64, seed=5)

@@ -29,6 +29,7 @@ from dgcipher import (
     flatness_report,
     generate_keyset,
     letter_frequencies,
+    playfair_build,
     rank_match_attack,
     serialize_keyset,
 )
@@ -126,6 +127,8 @@ def workdir(tmp_path_factory: pytest.TempPathFactory, corpus_text: str) -> pathl
         ("classical polybius --in msg.txt --out out.txt", _GRID_CALL),
         ("classical railfence --rails 3 --in msg.txt --out out.txt", _GRID_CALL),
         ("classical scytale --circumference 4 --in msg.txt --out out.txt", _GRID_CALL),
+        # A one-time pad is key material: keyset draws it, classical stays unloaded.
+        ("keygen --seed 7 --otp-length 9 --out out.txt", _CASCADE_FAMILY),
     ],
 )
 def test_cli_call_loads_only_what_it_runs(bare, workdir, argv: str, absent: set[str]):
@@ -226,6 +229,7 @@ def _records(reference):
         ),
         (lambda: PlayfairSpec("KALEM"), ("keyword", "padding"), True),
         (canonical_grid, ("rows", "cols", "grid"), True),
+        (lambda: playfair_build("KALEM"), ("cells",), True),
     ]
 
 
@@ -259,8 +263,7 @@ class TestRecords:
         with pytest.raises(dgcipher.WrongLength):
             CascadeKeySet(group1=keyset.group1[:2], group2=keyset.group2, final=keyset.final)
         assert keyset.composite_rows is keyset.composite_rows
-        assert keyset.inverse_rows is keyset.inverse_rows
-        for name in ("composite_rows", "inverse_rows", "group1"):
+        for name in ("composite_rows", "group1"):
             with pytest.raises(AttributeError):
                 setattr(keyset, name, ())
             with pytest.raises(AttributeError):
