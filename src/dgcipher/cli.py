@@ -4,8 +4,11 @@ Exit codes: 0 on success, 1 on usage errors (unknown commands or flags,
 malformed flag values, --in and --out naming one file), 2 on data errors
 (unreadable files, invalid UTF-8, malformed keys or ciphertext).
 Transformed payload goes to stdout or the --out file only; warnings and
-verbose notes go to stderr. An --out file is replaced only when the
-command succeeds; after a failure it is as it was.
+verbose notes go to stderr. Each command's handler takes (args, parser)
+and returns its output as an iterable of strings, which main writes. An
+--out file is replaced only when the command succeeds; after a failure it
+is as it was. An error in writing names the --out path as given, or
+<stdout>.
 
 All text I/O is strict UTF-8 with no newline translation, so piping
 encrypt into decrypt reproduces the input byte for byte. Invalid UTF-8 is
@@ -18,7 +21,7 @@ import argparse
 import sys
 from importlib import import_module
 
-from .cli_io import _BadUtf8, _same_file
+from .cli_io import _BadInput, _same_file, _write_output
 from .errors import CipherError
 
 # Annotation-only names; `typing` is not imported at run time.
@@ -69,16 +72,17 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv)
     args = parser.parse_args(argv)
-    if _same_file(args.infile, args.outfile):
+    if "infile" in args and _same_file(args.infile, args.outfile):
         parser.error(f"--in and --out name the same file: {args.outfile}")
     try:
-        return args.handler(args, parser)
+        _write_output(args.outfile, args.handler(args, parser))
     except CipherError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
-    except (_BadUtf8, OSError) as err:
+    except (_BadInput, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

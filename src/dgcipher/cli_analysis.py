@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cli_io import _add_index_mode, _add_io_flags, _input_chunks, _nonnegative, _resolve_keyset, _write_all
+from .cli_io import _add_index_mode, _add_io_flags, _input_chunks, _nonnegative, _resolve_keyset
 from .errors import EmptyText
 from .text_model import ALPHABET, IndexMode, phase_counts
 
@@ -17,7 +17,7 @@ def _letter_table(path: str | None):
     return build_reference_table(_input_chunks(path))
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     # Counted here rather than through analysis.FrequencyTable, so that
     # the call compiles no analysis module.
     counts = phase_counts(_input_chunks(args.infile))[0]
@@ -29,11 +29,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         lines = [f"letters: {total}"]
         lines += [f"{letter}  {n:>8}  {n / total:.6f}" for letter, n in zip(ALPHABET, counts)]
-    _write_all(args.outfile, ["\n".join(lines) + "\n"])
-    return 0
+    return ["\n".join(lines) + "\n"]
 
 
-def _cmd_crack(args: argparse.Namespace) -> int:
+def _cmd_crack(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     from .analysis import crack_shift
 
     reference = _letter_table(args.reference)
@@ -46,11 +45,10 @@ def _cmd_crack(args: argparse.Namespace) -> int:
     if args.verbose:
         for k, distance in enumerate(guess.distances):
             print(f"shift {k}: {distance:.6f}", file=sys.stderr)
-    _write_all(args.outfile, [f"{guess.shift}\n"])
-    return 0
+    return [f"{guess.shift}\n"]
 
 
-def _cmd_flatness(args: argparse.Namespace) -> int:
+def _cmd_flatness(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     from .analysis import flatness_report
 
     keyset = _resolve_keyset(args.key)
@@ -58,9 +56,7 @@ def _cmd_flatness(args: argparse.Namespace) -> int:
     report = flatness_report(
         _input_chunks(args.infile), keyset, reference, mode=IndexMode(args.index_mode)
     )
-    rendered = report.render_records() if args.format == "records" else report.render_text()
-    _write_all(args.outfile, [rendered])
-    return 0
+    return [report.render_records() if args.format == "records" else report.render_text()]
 
 
 def add_commands(commands, names, argv) -> None:
@@ -72,7 +68,7 @@ def add_commands(commands, names, argv) -> None:
             help="human table or tab-separated records",
         )
         _add_io_flags(analyze)
-        analyze.set_defaults(handler=lambda args, _p: _cmd_analyze(args))
+        analyze.set_defaults(handler=_cmd_analyze)
 
     if "crack" in names:
         crack = commands.add_parser("crack", help="recover a shift cipher's shift amount")
@@ -83,7 +79,7 @@ def add_commands(commands, names, argv) -> None:
         )
         crack.add_argument("--verbose", action="store_true", help="print all 29 distances to stderr")
         _add_io_flags(crack)
-        crack.set_defaults(handler=lambda args, _p: _cmd_crack(args))
+        crack.set_defaults(handler=_cmd_crack)
 
     if "flatness" in names:
         flatness = commands.add_parser(
@@ -97,4 +93,4 @@ def add_commands(commands, names, argv) -> None:
         )
         _add_index_mode(flatness)
         _add_io_flags(flatness)
-        flatness.set_defaults(handler=lambda args, _p: _cmd_flatness(args))
+        flatness.set_defaults(handler=_cmd_flatness)

@@ -9,10 +9,10 @@ from .cli_io import (
     _PAPER_KEY_NAME,
     _add_index_mode,
     _add_io_flags,
+    _add_out_flag,
     _input_chunks,
     _nonnegative,
     _resolve_keyset,
-    _write_all,
 )
 from .text_model import ALPHABET, IndexMode
 
@@ -27,7 +27,7 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _cmd_cascade(args: argparse.Namespace, *, decrypt: bool) -> int:
+def _cmd_cascade(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     from .cascade import transform_stream
 
     keyset = _resolve_keyset(args.key)
@@ -35,35 +35,30 @@ def _cmd_cascade(args: argparse.Namespace, *, decrypt: bool) -> int:
     if args.verbose:
         print(f"key: {args.key}", file=sys.stderr)
         print(f"index mode: {mode.value}", file=sys.stderr)
-    _write_all(
-        args.outfile,
-        transform_stream(_input_chunks(args.infile), keyset, mode, decrypt=decrypt),
-    )
-    return 0
+    decrypt = args.command == "decrypt"
+    return transform_stream(_input_chunks(args.infile), keyset, mode, decrypt=decrypt)
 
 
-def _cmd_keygen(args: argparse.Namespace) -> int:
+def _cmd_keygen(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     from .keyset import RNG_NAME, generate_keyset, otp_keygen, serialize_keyset
 
     if args.otp_length is not None:
         payload = otp_keygen(args.otp_length, args.seed) + "\n"
     else:
         payload = serialize_keyset(generate_keyset(args.seed), rng_name=RNG_NAME)
-    _write_all(args.outfile, [payload])
-    return 0
+    return [payload]
 
 
-def _cmd_keycheck(args: argparse.Namespace) -> int:
+def _cmd_keycheck(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     keyset = _resolve_keyset(args.key)
     lines = [f"{label}: ok" for label, _ in keyset.rows()]
     lines.append(f"keyset ok: 7 alphabets, {len(ALPHABET)} letters each")
-    _write_all(args.outfile, ["\n".join(lines) + "\n"])
-    return 0
+    return ["\n".join(lines) + "\n"]
 
 
 def add_commands(commands, names, argv) -> None:
     """Add the subparsers of the commands in names, in the help's order."""
-    for name, decrypt in (("encrypt", False), ("decrypt", True)):
+    for name in ("encrypt", "decrypt"):
         if name not in names:
             continue
         sub = commands.add_parser(name, help=f"{name} text with a cascade keyset")
@@ -75,7 +70,7 @@ def add_commands(commands, names, argv) -> None:
         _add_index_mode(sub)
         _add_io_flags(sub)
         sub.add_argument("--verbose", action="store_true", help="echo settings to stderr")
-        sub.set_defaults(handler=lambda args, _p, d=decrypt: _cmd_cascade(args, decrypt=d))
+        sub.set_defaults(handler=_cmd_cascade)
 
     if "keygen" in names:
         keygen = commands.add_parser("keygen", help="generate a key file from a seed")
@@ -86,11 +81,11 @@ def add_commands(commands, names, argv) -> None:
             metavar="N",
             help="emit a one-time letter key of length N instead of a keyset",
         )
-        _add_io_flags(keygen)
-        keygen.set_defaults(handler=lambda args, _p: _cmd_keygen(args))
+        _add_out_flag(keygen)
+        keygen.set_defaults(handler=_cmd_keygen)
 
     if "keycheck" in names:
         keycheck = commands.add_parser("keycheck", help="validate a key file")
         keycheck.add_argument("--key", required=True, help="key file path, or 'paper'")
-        _add_io_flags(keycheck)
-        keycheck.set_defaults(handler=lambda args, _p: _cmd_keycheck(args))
+        _add_out_flag(keycheck)
+        keycheck.set_defaults(handler=_cmd_keycheck)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import argparse
 
-from .cli_io import _add_io_flags, _input_chunks, _read_file, _write_all
+from .cli_io import _add_io_flags, _input_chunks, _read_file
 from .text_model import Alphabet
 
 _CIPHERS = ("shift", "atbash", "vigenere", "playfair", "polybius", "railfence", "scytale", "vernam")
@@ -23,7 +23,7 @@ def _polybius_spec(args: argparse.Namespace, parser: argparse.ArgumentParser):
     return PolybiusSpec(rows=args.rows, cols=args.cols, grid=args.grid)
 
 
-def _cmd_classical(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_classical(args: argparse.Namespace, parser: argparse.ArgumentParser):
     chunks = _input_chunks(args.infile)
     decrypt = args.decrypt
     cipher = args.cipher
@@ -32,13 +32,10 @@ def _cmd_classical(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         from .classical import atbash_stream, shift_stream, vigenere_stream
 
         if cipher == "shift":
-            pieces = shift_stream(chunks, args.k, decrypt=decrypt)
-        elif cipher == "atbash":
-            pieces = atbash_stream(chunks)
-        else:
-            pieces = vigenere_stream(chunks, args.key, Alphabet(args.alphabet), decrypt=decrypt)
-        _write_all(args.outfile, pieces)
-        return 0
+            return shift_stream(chunks, args.k, decrypt=decrypt)
+        if cipher == "atbash":
+            return atbash_stream(chunks)
+        return vigenere_stream(chunks, args.key, Alphabet(args.alphabet), decrypt=decrypt)
     text = "".join(chunks)
     # Letters-only ciphers drop the input's own newline, so add one back.
     trailing = "" if cipher in ("polybius", "vernam") else "\n"
@@ -62,8 +59,7 @@ def _cmd_classical(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         else:  # scytale
             op = grids.scytale_decrypt if decrypt else grids.scytale_encrypt
             result = op(text, args.circumference)
-    _write_all(args.outfile, [result + (trailing if result else "")])
-    return 0
+    return [result + (trailing if result else "")]
 
 
 def add_commands(commands, names, argv) -> None:
@@ -77,7 +73,7 @@ def add_commands(commands, names, argv) -> None:
         sub = ciphers.add_parser(name, help=help_text)
         sub.add_argument("--decrypt", action="store_true", help="invert the cipher")
         _add_io_flags(sub)
-        sub.set_defaults(handler=lambda args, p: _cmd_classical(args, p))
+        sub.set_defaults(handler=_cmd_classical)
         return sub
 
     if "shift" in built:

@@ -9,7 +9,6 @@ import io
 import os
 import stat
 import sys
-from contextlib import contextmanager
 
 from .text_model import IndexMode
 
@@ -17,14 +16,14 @@ from .text_model import IndexMode
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
-    from typing import BinaryIO, TextIO
+    from typing import BinaryIO
 
 _CHUNK_SIZE = 1 << 16
 _PAPER_KEY_NAME = "paper"
 
 
-class _BadUtf8(Exception):
-    """An input is not valid UTF-8; the message names it and the byte offset."""
+class _BadInput(Exception):
+    """An input is unreadable or not UTF-8; the message names it and any byte offset."""
 
 
 def _nonnegative(text: str) -> int:
@@ -47,7 +46,7 @@ def _decode_chunks(stream: BinaryIO, name: str) -> Iterator[str]:
         try:
             text, used = codecs.utf_8_decode(buffered, "strict", not data)
         except UnicodeDecodeError as err:
-            raise _BadUtf8(f"invalid UTF-8 in {name} at byte {offset + err.start}") from None
+            raise _BadInput(f"invalid UTF-8 in {name} at byte {offset + err.start}") from None
         offset += used
         pending = buffered[used:]
         if text:
@@ -57,12 +56,16 @@ def _decode_chunks(stream: BinaryIO, name: str) -> Iterator[str]:
 
 
 def _input_chunks(path: str | None) -> Iterator[str]:
-    """Decode a UTF-8 input in chunks; '-' or no path reads stdin."""
-    if path in (None, "-"):
-        yield from _decode_chunks(sys.stdin.buffer, "<stdin>")
-    else:
-        with open(path, "rb") as handle:
-            yield from _decode_chunks(handle, path)
+    """Decode a UTF-8 input in chunks; '-' or no path reads stdin. A read
+    error is raised as _BadInput, so _write_output can tell it from its own."""
+    try:
+        if path in (None, "-"):
+            yield from _decode_chunks(sys.stdin.buffer, "<stdin>")
+        else:
+            with open(path, "rb") as handle:
+                yield from _decode_chunks(handle, path)
+    except OSError as err:
+        raise _BadInput(err) from None
 
 
 def _read_file(path: str) -> str:
@@ -70,49 +73,46 @@ def _read_file(path: str) -> str:
         return "".join(_decode_chunks(handle, path))
 
 
-@contextmanager
-def _text_out(path: str | None) -> Iterator[TextIO]:
-    """Open a UTF-8 output; '-' or no path writes stdout.
+def _write_output(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the pieces as UTF-8 to path; '-' or no path writes stdout.
 
     A file is written under a temporary name in its own directory and
-    renamed over the target only when the command succeeds, so a failed
+    renamed over the target only when every piece is written, so a failed
     command leaves the target as it was. The target keeps its permissions.
+    An OSError names the output as given, or <stdout>: the inputs the
+    pieces are made from report their own errors as _BadInput.
     """
-    if path in (None, "-"):
-        wrapper = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
+    try:
+        if path in (None, "-"):
+            wrapper = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
+            try:
+                wrapper.writelines(pieces)
+            finally:
+                wrapper.detach()  # flushes, so a failed call keeps what it wrote
+            return
+        target = os.path.realpath(path)
         try:
-            yield wrapper
-            wrapper.flush()
-        finally:
-            wrapper.detach()
-        return
-    target = os.path.realpath(path)
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        # A device or pipe cannot be renamed over; write it in place.
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-        return
-    temp = f"{target}.{os.getpid()}.tmp"
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-        if mode is not None:
-            os.chmod(temp, stat.S_IMODE(mode))
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
-        raise
-
-
-def _write_all(path: str | None, pieces: Iterable[str]) -> None:
-    with _text_out(path) as out:
-        for piece in pieces:
-            out.write(piece)
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            # A device or pipe cannot be renamed over; write it in place.
+            with open(target, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(pieces)
+            return
+        temp = f"{target}.{os.getpid()}.tmp"
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(pieces)
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, "<stdout>" if path in (None, "-") else path) from None
 
 
 def _same_file(infile: str | None, outfile: str | None) -> bool:
@@ -132,9 +132,13 @@ def _resolve_keyset(name: str):
     return parse_keyset(_read_file(name))
 
 
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", dest="outfile", metavar="PATH", help="output file (default: stdout)")
+
+
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--in", dest="infile", metavar="PATH", help="input file (default: stdin)")
-    parser.add_argument("--out", dest="outfile", metavar="PATH", help="output file (default: stdout)")
+    _add_out_flag(parser)
 
 
 def _add_index_mode(parser: argparse.ArgumentParser) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import pathlib
 import subprocess
 import sys
@@ -130,21 +131,79 @@ class TestFileSafety:
         assert b"same file" in err
         assert target.read_bytes() == "Gazi Üniversitesi".encode()
 
-    @pytest.mark.parametrize("existing", [True, False])
-    def test_failed_run_leaves_no_partial_output(self, tmp_path: pathlib.Path, existing: bool):
-        source = tmp_path / "bad.txt"
-        source.write_bytes(b"Mikroislemci " * 20000 + b"\xff tail")
+    # One failing call per command. The encrypt call fails after its first
+    # chunks are written; "{dir}" stands for the test's directory.
+    ENCRYPT_BAD_UTF8 = ("encrypt", "--key", "paper", "--in", "{dir}/bad.txt")
+
+    @pytest.mark.parametrize(
+        "existing, argv, message",
+        [
+            pytest.param(True, ENCRYPT_BAD_UTF8, b"invalid UTF-8", id="True"),
+            pytest.param(False, ENCRYPT_BAD_UTF8, b"invalid UTF-8", id="False"),
+            pytest.param(
+                True, ("decrypt", "--key", "{dir}/corrupt.keys", "--in", "{dir}/short.txt"), b"BadHeader",
+                id="decrypt-corrupt-key",
+            ),
+            pytest.param(
+                True, ("keycheck", "--key", "{dir}/corrupt.keys"), b"BadHeader", id="keycheck-corrupt-key"
+            ),
+            pytest.param(
+                True, ("analyze", "--in", "{dir}/letterless.txt"), b"EmptyText", id="analyze-no-letters"
+            ),
+            pytest.param(
+                True, ("crack", "--reference", "{dir}/missing.txt", "--in", "{dir}/short.txt"),
+                b"missing.txt", id="crack-missing-reference",
+            ),
+            pytest.param(
+                True,
+                ("flatness", "--key", "paper", "--reference", "{dir}/short.txt", "--in", "{dir}/short.txt"),
+                b"TooShort", id="flatness-short-text",
+            ),
+            pytest.param(
+                True, ("classical", "vernam", "--key", "K", "--in", "{dir}/short.txt"), b"KeyTooShort",
+                id="vernam-short-key",
+            ),
+            pytest.param(
+                True, ("classical", "polybius", "--decrypt", "--in", "{dir}/digit.txt"),
+                b"MalformedDigitPair", id="polybius-lone-digit",
+            ),
+        ],
+    )
+    def test_failed_run_leaves_no_partial_output(
+        self, tmp_path: pathlib.Path, existing: bool, argv: tuple[str, ...], message: bytes
+    ):
+        (tmp_path / "bad.txt").write_bytes(b"Mikroislemci " * 20000 + b"\xff tail")
+        (tmp_path / "corrupt.keys").write_text("not a key file\n", encoding="utf-8")
+        (tmp_path / "letterless.txt").write_bytes(b"1234 ?!\n")
+        (tmp_path / "short.txt").write_text("Az harf", encoding="utf-8")
+        (tmp_path / "digit.txt").write_bytes(b"1")
         target = tmp_path / "out.txt"
         if existing:
             target.write_bytes(b"previous contents")
-        code, _, err = run("encrypt", "--key", "paper", "--in", str(source), "--out", str(target))
+        names = sorted(p.name for p in tmp_path.iterdir())
+        code, _, err = run(*(a.format(dir=tmp_path) for a in argv), "--out", str(target))
         assert code == 2
-        assert b"invalid UTF-8" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == (
-            ["bad.txt", "out.txt"] if existing else ["bad.txt"]
-        )
+        assert message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
         if existing:
             assert target.read_bytes() == b"previous contents"
+
+    def test_output_error_names_the_out_path_as_given(self, tmp_path: pathlib.Path):
+        target = tmp_path / "no_such_dir" / "k.keys"
+        code, out, err = run("keygen", "--seed", "1", "--out", str(target))
+        assert (code, out) == (2, b"")
+        assert err.decode() == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_error_names_the_output(self):
+        code, out, err = run("keygen", "--seed", "1", "--out", "/dev/full")
+        assert (code, out) == (2, b"")
+        assert err == b"error: [Errno 28] No space left on device: '/dev/full'\n"
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([*CMD, "keygen", "--seed", "1"], stdout=full, stderr=subprocess.PIPE)
+        assert done.returncode == 2
+        assert done.stderr == b"error: [Errno 28] No space left on device: '<stdout>'\n"
 
     def test_out_file_keeps_its_permissions_and_symlink(self, tmp_path: pathlib.Path):
         source = tmp_path / "plain.txt"
@@ -199,6 +258,10 @@ class TestKeygen:
         assert code == 0
         assert out.endswith(b"\n")
         assert len(out.decode().strip()) == 40
+
+    def test_keygen_and_keycheck_take_no_input_flag(self):
+        assert run("keygen", "--seed", "1", "--in", "x")[0] == 1
+        assert run("keycheck", "--key", "paper", "--in", "x")[0] == 1
 
     def test_bad_seeds_are_usage_errors(self):
         assert run("keygen", "--seed", "-1")[0] == 1

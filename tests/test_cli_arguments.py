@@ -61,13 +61,11 @@ FROZEN = [
             "--otp-length", "otp_length", None, None, False, "N",
             "emit a one-time letter key of length N instead of a keyset", "_nonnegative",
         ),
-        ("--in", "infile", None, None, False, "PATH", "input file (default: stdin)", None),
         ("--out", "outfile", None, None, False, "PATH", "output file (default: stdout)", None),
     ], []),
     ("keycheck", "validate a key file", [
         HELP,
         ("--key", "key", None, None, True, None, "key file path, or 'paper'", None),
-        ("--in", "infile", None, None, False, "PATH", "input file (default: stdin)", None),
         ("--out", "outfile", None, None, False, "PATH", "output file (default: stdout)", None),
     ], []),
     ("classical", "run one of the classical ciphers", [
