@@ -8,7 +8,7 @@ that row: find the staged letter in the final row and emit the letter one
 position earlier, wrapping from the first position to the last.
 
 Because every step is a fixed bijection, each group collapses to a single
-composite permutation, which the keyset computes once
+composite permutation, which the keyset computes
 (CascadeKeySet.composite_rows) and composite_table() exposes. The whole
 cipher is therefore a period-two substitution: each composite row becomes
 a case-aware byte table (read backwards, from row to alphabet, to
@@ -40,18 +40,15 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
 
-_ROW = {Group.GROUP1: 0, Group.GROUP2: 1}
-
-
 def encrypt_letter(letter: str, group: Group, keyset: CascadeKeySet) -> str:
     """Encrypt one canonical letter through the given group's pipeline."""
-    return keyset.composite_rows[_ROW[group]][letter_index(letter)]
+    return keyset.composite_rows[group.value - 1][letter_index(letter)]
 
 
 def decrypt_letter(letter: str, group: Group, keyset: CascadeKeySet) -> str:
     """Invert encrypt_letter: the letter the group's pipeline sends here."""
     letter_index(letter)  # rejects anything but a canonical letter
-    return ALPHABET[keyset.composite_rows[_ROW[group]].index(letter)]
+    return ALPHABET[keyset.composite_rows[group.value - 1].index(letter)]
 
 
 def transform_stream(
@@ -90,4 +87,4 @@ def composite_table(group: Group, keyset: CascadeKeySet) -> SubstitutionAlphabet
 
     Constructing the result revalidates that the pipeline is a bijection.
     """
-    return SubstitutionAlphabet(keyset.composite_rows[_ROW[group]])
+    return SubstitutionAlphabet(keyset.composite_rows[group.value - 1])

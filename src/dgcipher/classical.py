@@ -74,16 +74,13 @@ def _key_letters(key: str, alphabet: Alphabet) -> str:
     the 29 canonical letters and their lowercase forms.
     """
     kept = "".join(key.split())
-    if alphabet is Alphabet.TURKISH29:
-        letters, folded = LETTERS, canonical_letters(kept)  # drops what is not a letter
-    else:
-        letters, folded = _ASCII_LETTERS, kept.upper() if kept.isascii() and kept.isalpha() else ""
-    if len(folded) != len(kept):
-        outside = kept.lstrip(letters)[0]
-        raise KeyLetterOutsideAlphabet(f"key character {outside!r} is outside the alphabet")
+    turkish = alphabet is Alphabet.TURKISH29
+    outside = kept.lstrip(LETTERS if turkish else _ASCII_LETTERS)
+    if outside:
+        raise KeyLetterOutsideAlphabet(f"key character {outside[0]!r} is outside the alphabet")
     if not kept:
         raise EmptyKey("key contains no letters")
-    return folded
+    return canonical_letters(kept) if turkish else kept.upper()
 
 
 def _running_key(

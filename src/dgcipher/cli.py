@@ -8,7 +8,8 @@ verbose notes go to stderr. Each command's handler takes (args, parser)
 and returns its output as an iterable of strings, which main writes. An
 --out file is replaced only when the command succeeds; after a failure it
 is as it was. An error in writing names the --out path as given, or
-<stdout>.
+<stdout>. A reader that closes the output early, as `head` does, ends
+the call quietly with exit 141, as SIGPIPE would.
 
 All text I/O is strict UTF-8 with no newline translation, so piping
 encrypt into decrypt reproduces the input byte for byte. Invalid UTF-8 is
@@ -18,6 +19,7 @@ reported with the input's name and the absolute offset of the bad byte.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import import_module
 
@@ -76,6 +78,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--in and --out name the same file: {args.outfile}")
     try:
         _write_output(args.outfile, args.handler(args, parser))
+    except BrokenPipeError:
+        # Flushing stdout again would fail, and -X dev would report it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CipherError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from .errors import (
     RailsOutOfRange,
     WrongLength,
 )
-from .text_model import ALPHABET, LETTERS, canonical_letters, to_upper_tr
+from .text_model import ALPHABET, LETTERS, _check_row, canonical_letters, to_upper_tr
 
 
 # --- playfair (5x5 digram cipher) ---
@@ -81,11 +81,6 @@ def playfair_build(keyword: str) -> PlayfairTable:
     return PlayfairTable(tuple(ordered))
 
 
-def _playfair_positions(table: PlayfairTable) -> dict[str, tuple[int, int]]:
-    # position_of searches the cells; one call looks each letter up once.
-    return {letter: table.position_of(letter) for letter in ALPHABET}
-
-
 def _playfair_pairs(
     letters: str, padding: str, where: dict[str, tuple[int, int]]
 ) -> list[tuple[str, str]]:
@@ -125,14 +120,26 @@ def _playfair_map(
     return table.representative_at(ra, cb), table.representative_at(rb, ca)
 
 
+def _playfair(message: str, spec: PlayfairSpec, shift: int) -> str:
+    # Encryption (shift +1) pads the letters into digrams; decryption
+    # (shift -1) takes them two by two.
+    table = playfair_build(spec.keyword)
+    letters = canonical_letters(message)
+    # position_of searches the cells; one call looks each letter up once.
+    where = {letter: table.position_of(letter) for letter in ALPHABET}
+    if shift > 0:
+        pairs = _playfair_pairs(letters, _padding_letter(spec), where)
+    elif len(letters) % 2:
+        raise OddLengthCiphertext(f"{len(letters)} letters cannot form digrams")
+    else:
+        pairs = zip(letters[::2], letters[1::2])
+    return "".join("".join(_playfair_map(p, table, where, shift)) for p in pairs)
+
+
 def playfair_encrypt(message: str, spec: PlayfairSpec) -> str:
     """Encrypt digrams: same row moves right, same column moves down,
     otherwise swap columns. Output letters are the cell representatives."""
-    table = playfair_build(spec.keyword)
-    padding = _padding_letter(spec)
-    where = _playfair_positions(table)
-    pairs = _playfair_pairs(canonical_letters(message), padding, where)
-    return "".join("".join(_playfair_map(p, table, where, +1)) for p in pairs)
+    return _playfair(message, spec, +1)
 
 
 def playfair_decrypt(message: str, spec: PlayfairSpec) -> str:
@@ -141,13 +148,7 @@ def playfair_decrypt(message: str, spec: PlayfairSpec) -> str:
     Decryption emits cell representatives, so merged letters come back as
     S, U or V. Padding letters inserted on encryption are kept.
     """
-    table = playfair_build(spec.keyword)
-    letters = canonical_letters(message)
-    if len(letters) % 2:
-        raise OddLengthCiphertext(f"{len(letters)} letters cannot form digrams")
-    pairs = [(letters[i], letters[i + 1]) for i in range(0, len(letters), 2)]
-    where = _playfair_positions(table)
-    return "".join("".join(_playfair_map(p, table, where, -1)) for p in pairs)
+    return _playfair(message, spec, -1)
 
 
 # --- polybius (coordinate grid) ---
@@ -162,13 +163,7 @@ class PolybiusSpec(namedtuple("PolybiusSpec", "rows cols grid")):
             raise WrongLength(f"grid needs positive dimensions: {rows}x{cols}")
         if rows > 9 or cols > 9:
             raise GridTooLarge("digit pairs cannot address rows or columns past 9")
-        seen: set[str] = set()
-        for letter in grid:
-            if letter not in ALPHABET:
-                raise NonCanonicalSymbol(f"not a canonical letter: {letter!r}")
-            if letter in seen:
-                raise DuplicateGridLetter(f"letter {letter} appears twice in the grid")
-            seen.add(letter)
+        _check_row(grid, DuplicateGridLetter, " in the grid")
         if not (rows - 1) * cols < len(grid) <= rows * cols:
             raise WrongLength(f"{len(grid)} letters do not fill {rows} rows of {cols}")
         return super().__new__(cls, rows, cols, grid)

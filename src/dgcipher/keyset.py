@@ -2,9 +2,11 @@
 
 A cascade keyset is seven substitution alphabets: three chained stages per
 group plus one final alphabet shared by both groups. Each alphabet is a
-bijection on the 29 canonical letters, so the keyset space has (29!)**7
-members. Keysets and one-time-pad keys are drawn from one 64-bit seed
-rule (splitmix64, below).
+bijection on the 29 canonical letters, so there are (29!)**7 keysets
+(about 4.2e216). Each group collapses to one composite permutation, and
+(29!)**5 keysets give each pair of them, so there are only (29!)**2
+distinct ciphers (about 7.8e61, or 205.6 bits). Keysets and one-time-pad
+keys are drawn from one 64-bit seed rule (splitmix64, below).
 
 Key files use a small line format:
 
@@ -26,23 +28,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 
-from .errors import (
-    BadHeader,
-    CipherError,
-    DuplicateLetter,
-    MissingRow,
-    NonCanonicalSymbol,
-    SeedOutOfRange,
-    WrongLength,
-)
-from .text_model import ALPHABET, ALPHABET_SIZE
+from .errors import BadHeader, CipherError, DuplicateLetter, MissingRow, SeedOutOfRange, WrongLength
+from .text_model import ALPHABET, ALPHABET_SIZE, _check_row
 
 # Annotation-only names; `typing` is not imported at run time.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Iterator, Sequence
 
 HEADER = "CASCADE-KEYS v1"
 ROW_LABELS = ("G1S1", "G1S2", "G1S3", "G2S1", "G2S2", "G2S3", "FINAL")
@@ -68,24 +61,14 @@ class SubstitutionAlphabet(namedtuple("SubstitutionAlphabet", "letters")):
     def __new__(cls, letters: str) -> SubstitutionAlphabet:
         if len(letters) != ALPHABET_SIZE:
             raise WrongLength(f"expected {ALPHABET_SIZE} letters, got {len(letters)}")
-        seen = set()
-        for letter in letters:
-            if letter not in ALPHABET:
-                raise NonCanonicalSymbol(f"not a canonical letter: {letter!r}")
-            if letter in seen:
-                raise DuplicateLetter(f"letter {letter} appears twice")
-            seen.add(letter)
+        _check_row(letters, DuplicateLetter)
         return super().__new__(cls, letters)
 
 
 class CascadeKeySet(namedtuple("CascadeKeySet", "group1 group2 final")):
-    """Seven alphabets: three stages per group plus the shared final one.
+    """Seven alphabets: three stages per group plus the shared final one."""
 
-    A value object: keysets with equal alphabets compare and hash equal,
-    and assigning or deleting an attribute raises AttributeError. It has
-    no __slots__, so the composite rows it caches live in its __dict__,
-    written past __setattr__.
-    """
+    __slots__ = ()
 
     def __new__(
         cls,
@@ -97,23 +80,17 @@ class CascadeKeySet(namedtuple("CascadeKeySet", "group1 group2 final")):
             raise WrongLength("each group needs exactly 3 stage alphabets")
         return super().__new__(cls, group1, group2, final)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to CascadeKeySet.{name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete CascadeKeySet.{name}")
-
     def rows(self) -> Iterator[tuple[str, SubstitutionAlphabet]]:
         """Yield (label, alphabet) pairs in key file order."""
         return zip(ROW_LABELS, (*self.group1, *self.group2, self.final))
 
-    @cached_property
+    @property
     def composite_rows(self) -> tuple[str, str]:
         """Each group's whole pipeline as one image row, (GROUP1, GROUP2).
 
         Entry j is the image of ALPHABET[j]: the letter pushed through the
         group's three stages, then replaced by its cyclic predecessor in
-        the final row. Computed once per keyset, on first use.
+        the final row.
         """
         final = self.final.letters
         predecessor = str.maketrans(final, final[-1] + final[:-1])
@@ -139,10 +116,14 @@ _EXAMPLE_ROWS = (
 )
 
 
+def _from_rows(rows: Sequence[SubstitutionAlphabet]) -> CascadeKeySet:
+    # The seven alphabets in key file order.
+    return CascadeKeySet(tuple(rows[0:3]), tuple(rows[3:6]), rows[6])
+
+
 def example_keyset() -> CascadeKeySet:
     """Return the built-in worked-example keyset."""
-    rows = [SubstitutionAlphabet(row) for row in _EXAMPLE_ROWS]
-    return CascadeKeySet(group1=tuple(rows[0:3]), group2=tuple(rows[3:6]), final=rows[6])
+    return _from_rows([SubstitutionAlphabet(row) for row in _EXAMPLE_ROWS])
 
 
 class SplitMix64:
@@ -188,8 +169,7 @@ def _shuffled_row(rng: SplitMix64) -> SubstitutionAlphabet:
 def generate_keyset(seed: int) -> CascadeKeySet:
     """Generate the seven alphabets deterministically from a 64-bit seed."""
     rng = SplitMix64(seed)
-    rows = [_shuffled_row(rng) for _ in range(7)]
-    return CascadeKeySet(group1=tuple(rows[0:3]), group2=tuple(rows[3:6]), final=rows[6])
+    return _from_rows([_shuffled_row(rng) for _ in range(7)])
 
 
 def otp_keygen(length: int, seed: int) -> str:
@@ -255,4 +235,4 @@ def parse_keyset(text: str) -> CascadeKeySet:
         raise MissingRow(f"expected row {ROW_LABELS[len(rows)]}, found end of file")
     if len(body) > len(ROW_LABELS):
         raise BadHeader(f"unexpected content after FINAL row: {body[len(ROW_LABELS)]!r}")
-    return CascadeKeySet(group1=tuple(rows[0:3]), group2=tuple(rows[3:6]), final=rows[6])
+    return _from_rows(rows)

@@ -263,6 +263,17 @@ def letter_index(letter: str) -> int:
         raise NonCanonicalSymbol(f"not a canonical letter: {letter!r}") from None
 
 
+def _check_row(row: str, duplicate: type[Exception], where: str = "") -> None:
+    """Raise for the first letter of row that letter_index rejects or
+    that repeats; a repeat raises duplicate, naming the letter."""
+    seen = set()
+    for letter in row:
+        letter_index(letter)
+        if letter in seen:
+            raise duplicate(f"letter {letter} appears twice{where}")
+        seen.add(letter)
+
+
 # The per-character model below is on no cipher's path; tokenize and render
 # stay for the benchmark's layer spans.
 

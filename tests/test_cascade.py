@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -21,6 +22,8 @@ from dgcipher import (
     example_keyset,
     generate_keyset,
     letter_index,
+    parse_keyset,
+    serialize_keyset,
     transform_stream,
 )
 
@@ -125,6 +128,28 @@ class TestCompositeTable:
             for group in Group:
                 letters = composite_table(group, ks).letters
                 assert sorted(letters) == sorted(ALPHABET)
+
+
+class TestCollapse:
+    """Only the two composite rows matter: (29!)**5 keysets give each cipher."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=lambda seed: "paper" if seed is None else f"seed{seed}")
+    def test_equivalent_keyset_is_the_same_cipher(self, seed: int | None, corpus_text: str):
+        keyset = example_keyset() if seed is None else generate_keyset(seed)
+        # Identity S2, S3 and FINAL: FINAL's predecessor step then undoes
+        # an S1 that sends each letter to its composite image's successor.
+        identity = SubstitutionAlphabet(ALPHABET)
+        successor = str.maketrans(ALPHABET, ALPHABET[1:] + ALPHABET[0])
+        first = [SubstitutionAlphabet(row.translate(successor)) for row in keyset.composite_rows]
+        equivalent = CascadeKeySet(
+            (first[0], identity, identity), (first[1], identity, identity), identity
+        )
+        assert equivalent.composite_rows == keyset.composite_rows
+        for mode in IndexMode:
+            assert encrypt_message(corpus_text, equivalent, mode) == encrypt_message(corpus_text, keyset, mode)
+        key_file = serialize_keyset(equivalent)
+        assert parse_keyset(key_file) == equivalent
+        assert key_file != serialize_keyset(keyset)
 
 
 class TestMessages:

@@ -205,6 +205,17 @@ class TestFileSafety:
         assert done.returncode == 2
         assert done.stderr == b"error: [Errno 28] No space left on device: '<stdout>'\n"
 
+    def test_reader_closing_the_output_early_ends_quietly(self, tmp_path: pathlib.Path, corpus_text: str):
+        # As `dgcipher encrypt … | head -c 10`: several 64 KiB pieces are
+        # still to come when the reader goes.
+        source = tmp_path / "plain.txt"
+        source.write_text(corpus_text * 60, encoding="utf-8")
+        argv = [*CMD, "encrypt", "--key", "paper", "--in", str(source)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as call:
+            assert len(call.stdout.read(10)) == 10
+            call.stdout.close()
+            assert (call.stderr.read(), call.wait()) == (b"", 141)
+
     def test_out_file_keeps_its_permissions_and_symlink(self, tmp_path: pathlib.Path):
         source = tmp_path / "plain.txt"
         source.write_text("Mikroişlemci", encoding="utf-8")

@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or asserts.
 
 An import bound inside a function must be read in that function; one at
 module level must be read somewhere in the module. Annotations count as
-reads, so names imported for annotations only pass.
+reads, so names imported for annotations only pass. Validation raises
+instead of asserting, because `python -O` strips assert statements.
 """
 
 from __future__ import annotations
@@ -39,3 +40,9 @@ def _unused_imports(scope: ast.AST) -> list[tuple[int, str]]:
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(source: pathlib.Path):
     assert sorted(_unused_imports(ast.parse(source.read_text(encoding="utf-8")))) == []
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_module_has_no_assert_statement(source: pathlib.Path):
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
