@@ -2,14 +2,15 @@
 
 Exit codes: 0 on success, 1 on usage errors (unknown commands or flags,
 malformed flag values, --in and --out naming one file), 2 on data errors
-(unreadable files, invalid UTF-8, malformed keys or ciphertext).
-Transformed payload goes to stdout or the --out file only; warnings and
-verbose notes go to stderr. Each command's handler takes (args, parser)
-and returns its output as an iterable of strings, which main writes. An
---out file is replaced only when the command succeeds; after a failure it
-is as it was. An error in writing names the --out path as given, or
-<stdout>. A reader that closes the output early, as `head` does, ends
-the call quietly with exit 141, as SIGPIPE would.
+(unreadable input, output that cannot be written, invalid UTF-8,
+malformed keys or ciphertext). Transformed payload goes to stdout or the
+--out file only; warnings and verbose notes go to stderr. Each command's
+handler takes (args, parser) and returns its output as an iterable of
+strings, which main writes. An --out file is replaced only when the
+command succeeds; after a failure it is as it was. A write error, a
+stdout that cannot take the output too, names the --out path as given,
+or <stdout>. A reader that closes the output early, as `head` does, ends
+the call quietly with exit 141, however Python buffers its own streams.
 
 All text I/O is strict UTF-8 with no newline translation, so piping
 encrypt into decrypt reproduces the input byte for byte. Invalid UTF-8 is
@@ -19,7 +20,6 @@ reported with the input's name and the absolute offset of the bad byte.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from importlib import import_module
 
@@ -79,8 +79,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _write_output(args.outfile, args.handler(args, parser))
     except BrokenPipeError:
-        # Flushing stdout again would fail, and -X dev would report it.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except CipherError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import io
+import errno
 import os
 import stat
 import sys
@@ -16,7 +16,7 @@ from .text_model import IndexMode
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
-    from typing import BinaryIO
+    from typing import BinaryIO, TextIO
 
 _CHUNK_SIZE = 1 << 16
 _PAPER_KEY_NAME = "paper"
@@ -55,17 +55,23 @@ def _decode_chunks(stream: BinaryIO, name: str) -> Iterator[str]:
             return
 
 
+def _std_fd(stream: TextIO | None) -> int:
+    # Python sets a stream closed at start-up to None; its number may be reused.
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream.fileno()
+
+
 def _input_chunks(path: str | None) -> Iterator[str]:
     """Decode a UTF-8 input in chunks; '-' or no path reads stdin. A read
     error is raised as _BadInput, so _write_output can tell it from its own."""
+    stdin = path in (None, "-")
+    name = "<stdin>" if stdin else path
     try:
-        if path in (None, "-"):
-            yield from _decode_chunks(sys.stdin.buffer, "<stdin>")
-        else:
-            with open(path, "rb") as handle:
-                yield from _decode_chunks(handle, path)
+        with open(_std_fd(sys.stdin) if stdin else path, "rb", closefd=not stdin) as handle:
+            yield from _decode_chunks(handle, name)
     except OSError as err:
-        raise _BadInput(err) from None
+        raise _BadInput(OSError(err.errno, err.strerror, name)) from None
 
 
 def _read_file(path: str) -> str:
@@ -76,28 +82,24 @@ def _read_file(path: str) -> str:
 def _write_output(path: str | None, pieces: Iterable[str]) -> None:
     """Write the pieces as UTF-8 to path; '-' or no path writes stdout.
 
-    A file is written under a temporary name in its own directory and
-    renamed over the target only when every piece is written, so a failed
-    command leaves the target as it was. The target keeps its permissions.
-    An OSError names the output as given, or <stdout>: the inputs the
-    pieces are made from report their own errors as _BadInput.
+    A regular file is written under a temporary name in its own directory
+    and renamed over the target only when every piece is written, so a
+    failed command leaves the target as it was. The target keeps its
+    permissions. Stdout, a device or a pipe is written in place through one
+    buffered file, which retries short writes: a reader that closes early
+    raises BrokenPipeError, and an output that cannot take the rest raises
+    an OSError. An OSError names the output as given, or <stdout>: the
+    inputs the pieces are made from report their own errors as _BadInput.
     """
+    stdout = path in (None, "-")
     try:
-        if path in (None, "-"):
-            wrapper = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
-            try:
-                wrapper.writelines(pieces)
-            finally:
-                wrapper.detach()  # flushes, so a failed call keeps what it wrote
-            return
-        target = os.path.realpath(path)
+        target = _std_fd(sys.stdout) if stdout else os.path.realpath(path)
         try:
             mode = os.stat(target).st_mode
         except FileNotFoundError:
             mode = None
-        if mode is not None and not stat.S_ISREG(mode):
-            # A device or pipe cannot be renamed over; write it in place.
-            with open(target, "w", encoding="utf-8", newline="") as handle:
+        if stdout or mode is not None and not stat.S_ISREG(mode):
+            with open(target, "w", encoding="utf-8", newline="", closefd=not stdout) as handle:
                 handle.writelines(pieces)
             return
         temp = f"{target}.{os.getpid()}.tmp"
@@ -112,7 +114,7 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
             os.unlink(temp)
             raise
     except OSError as err:
-        raise OSError(err.errno, err.strerror, "<stdout>" if path in (None, "-") else path) from None
+        raise OSError(err.errno, err.strerror, "<stdout>" if stdout else path) from None
 
 
 def _same_file(infile: str | None, outfile: str | None) -> bool:

@@ -182,6 +182,10 @@ def _codes(spec: PolybiusSpec) -> dict[str, str]:
     }
 
 
+# Between two adjacent letters, where polybius_encode joins their codes with "-".
+_LETTER_GAP = re.compile(f"(?<=[{LETTERS}])(?=[{LETTERS}])")
+
+
 def polybius_encode(message: str, spec: PolybiusSpec | None = None) -> str:
     """Encode each letter as "<row><col>" (1-based digits).
 
@@ -190,15 +194,14 @@ def polybius_encode(message: str, spec: PolybiusSpec | None = None) -> str:
     dashes already present in the message make the output ambiguous to
     decode, so keep them out of messages that must round-trip.
     """
-    codes = _codes(spec or canonical_grid())
-
-    def encode_run(run: re.Match[str]) -> str:
-        try:
-            return "-".join([codes[letter] for letter in canonical_letters(run[0])])
-        except KeyError as missing:
-            raise LetterNotInGrid(f"letter {missing.args[0]} is not in the grid") from None
-
-    return re.sub(f"[{LETTERS}]+", encode_run, message)
+    spec = spec or canonical_grid()
+    missing = canonical_letters(message).translate(str.maketrans("", "", spec.grid))
+    if missing:
+        raise LetterNotInGrid(f"letter {missing[0]} is not in the grid")
+    codes = _codes(spec)
+    pairs = zip(LETTERS, canonical_letters(LETTERS))
+    table = str.maketrans({form: codes[letter] for form, letter in pairs if letter in codes})
+    return _LETTER_GAP.sub("-", message).translate(table)
 
 
 def polybius_decode(code: str, spec: PolybiusSpec | None = None) -> str:

@@ -64,17 +64,17 @@ _UPPER_BYTES = bytes.maketrans(LOWERCASE.encode(_LATIN5), ALPHABET.encode(_LATIN
 _NOT_LETTER_BYTES = bytes(set(range(256)).difference(LETTERS.encode(_LATIN5)))
 _ALPHABET_BYTES = ALPHABET.encode(_LATIN5)
 
-_UPPER_SPECIAL = {"i": "İ", "ı": "I"}
 _LOWER_SPECIAL = {"İ": "i", "I": "ı"}
 
 
 def to_upper_tr(text: str) -> str:
     """Uppercase a string with the Turkish i rules (i -> İ, ı -> I)."""
-    return "".join(_UPPER_SPECIAL.get(c, c.upper()) for c in text)
+    return text.replace("i", "İ").upper()  # str.upper maps ı to I itself
 
 
 def to_lower_tr(text: str) -> str:
     """Lowercase a string with the Turkish i rules (İ -> i, I -> ı)."""
+    # Per character: str.lower gives a final sigma by context ("ΑΣ" -> "ας").
     return "".join(_LOWER_SPECIAL.get(c, c.lower()) for c in text)
 
 

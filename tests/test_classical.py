@@ -518,6 +518,28 @@ class TestPolybius:
     def test_roundtrip(self, message: str):
         assert polybius_decode(polybius_encode(message)) == to_upper_tr(message)
 
+    @staticmethod
+    def per_run(message: str, spec: PolybiusSpec) -> str:
+        codes = {letter: f"{i // spec.cols + 1}{i % spec.cols + 1}" for i, letter in enumerate(spec.grid)}
+        return re.sub(
+            f"[{LETTER_CHARS}]+", lambda run: "-".join(codes[c] for c in canonical_letters(run[0])), message
+        )
+
+    def test_encode_is_the_per_run_rule(self, every_character: str):
+        assert polybius_encode(every_character) == self.per_run(every_character, canonical_grid())
+
+    @given(
+        st.sampled_from([PolybiusSpec(3, 3, "KALEMSİNÖ"), PolybiusSpec(2, 3, "ELMAS")]),
+        st.text(alphabet=st.sampled_from("KALEMSİNÖkalemsinö BZbz-12%ж\U0001f600"), max_size=40),
+    )
+    def test_encode_on_partial_grids(self, spec: PolybiusSpec, message: str):
+        missing = [c for c in canonical_letters(message) if c not in spec.grid]
+        if missing:
+            with pytest.raises(LetterNotInGrid, match=f"^letter {missing[0]} is not in the grid$"):
+                polybius_encode(message, spec)
+        else:
+            assert polybius_encode(message, spec) == self.per_run(message, spec)
+
 
 class TestRailFence:
     SENTENCE = "Gazi Üniversitesi Teknik Eğitim Fakültesi"

@@ -205,16 +205,58 @@ class TestFileSafety:
         assert done.returncode == 2
         assert done.stderr == b"error: [Errno 28] No space left on device: '<stdout>'\n"
 
-    def test_reader_closing_the_output_early_ends_quietly(self, tmp_path: pathlib.Path, corpus_text: str):
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "command", [("encrypt", "--key", "paper"), ("classical", "scytale", "--circumference", "4")],
+        ids=["encrypt", "scytale"],
+    )
+    def test_reader_closing_the_output_early_ends_quietly(
+        self, tmp_path: pathlib.Path, corpus_text: str, command: tuple[str, ...], unbuffered: str
+    ):
         # As `dgcipher encrypt … | head -c 10`: several 64 KiB pieces are
-        # still to come when the reader goes.
+        # still to come when the reader goes; scytale writes one piece of
+        # 460 KB. An empty PYTHONUNBUFFERED leaves Python's buffering on.
         source = tmp_path / "plain.txt"
         source.write_text(corpus_text * 60, encoding="utf-8")
-        argv = [*CMD, "encrypt", "--key", "paper", "--in", str(source)]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as call:
+        argv = [*CMD, *command, "--in", str(source)]
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as call:
             assert len(call.stdout.read(10)) == 10
             call.stdout.close()
             assert (call.stderr.read(), call.wait()) == (b"", 141)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_stdout_that_cannot_take_the_output_is_a_data_error(
+        self, tmp_path: pathlib.Path, corpus_text: str, unbuffered: str
+    ):
+        # A non-blocking pipe that nobody reads takes 64 KiB; the rest of
+        # the output must not be dropped in silence.
+        source = tmp_path / "plain.txt"
+        source.write_text(corpus_text * 60, encoding="utf-8")
+        argv = [*CMD, "classical", "railfence", "--rails", "3", "--in", str(source)]
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        read_end, write_end = os.pipe()
+        try:
+            os.set_blocking(write_end, False)
+            done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+            os.close(read_end)
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"error: ")
+        assert done.stderr.endswith(b"'<stdout>'\n")
+
+    @pytest.mark.parametrize(
+        "fd, command, name",
+        [(0, ("encrypt", "--key", "paper"), "<stdin>"), (1, ("keygen", "--seed", "1"), "<stdout>")],
+        ids=["stdin", "stdout"],
+    )
+    def test_closed_standard_stream_is_a_data_error(self, fd: int, command: tuple[str, ...], name: str):
+        done = subprocess.run(
+            [*CMD, *command], stdin=subprocess.DEVNULL, capture_output=True, preexec_fn=lambda: os.close(fd)
+        )
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.decode() == f"error: [Errno 9] Bad file descriptor: {name!r}\n"
 
     def test_out_file_keeps_its_permissions_and_symlink(self, tmp_path: pathlib.Path):
         source = tmp_path / "plain.txt"

@@ -60,6 +60,14 @@ class TestCaseFolding:
     def test_non_letters_untouched(self):
         assert to_upper_tr("a1b2?") == "A1B2?"
 
+    def test_upper_is_the_per_character_rule(self, every_character: str):
+        special = {"i": "İ", "ı": "I"}
+        assert to_upper_tr(every_character) == "".join(special.get(c, c.upper()) for c in every_character)
+
+    def test_lower_has_no_final_sigma(self):
+        # str.lower would give "ας": a final sigma by context.
+        assert to_lower_tr("ΑΣ") == "ασ"
+
     @given(st.sampled_from(LOWERCASE))
     def test_roundtrip_on_alphabet(self, ch: str):
         assert to_lower_tr(to_upper_tr(ch)) == ch
