@@ -1,16 +1,18 @@
 """Command line interface for the toolkit.
 
 Exit codes: 0 on success, 1 on usage errors (unknown commands or flags,
-malformed flag values, --in and --out naming one file), 2 on data errors
-(unreadable input, output that cannot be written, invalid UTF-8,
-malformed keys or ciphertext). Transformed payload goes to stdout or the
---out file only; warnings and verbose notes go to stderr. Each command's
-handler takes (args, parser) and returns its output as an iterable of
-strings, which main writes. An --out file is replaced only when the
-command succeeds; after a failure it is as it was. A write error, a
-stdout that cannot take the output too, names the --out path as given,
-or <stdout>. A reader that closes the output early, as `head` does, ends
-the call quietly with exit 141, however Python buffers its own streams.
+malformed flag values, --in and --out naming one file, --reference and
+--in both reading stdin), 2 on data errors (unreadable input, output that
+cannot be written, invalid UTF-8, malformed keys or ciphertext).
+Transformed payload goes to stdout or the --out file only; warnings and
+verbose notes go to stderr. Each command's handler takes (args, parser)
+and returns its output as an iterable of strings, which main writes. An
+--out file is replaced only when the command succeeds; after a failure it
+is as it was. An --out naming the file stdout is open on, as /dev/stdout
+does, is written as stdout. A write error, a stdout that cannot take the
+output too, names the --out path as given, or <stdout>. A reader that
+closes the output early, as `head` does, ends the call quietly with exit
+141, however Python buffers its own streams.
 
 All text I/O is strict UTF-8 with no newline translation, so piping
 encrypt into decrypt reproduces the input byte for byte. Invalid UTF-8 is
@@ -76,6 +78,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if "infile" in args and _same_file(args.infile, args.outfile):
         parser.error(f"--in and --out name the same file: {args.outfile}")
+    if "reference" in args and args.reference == "-" and args.infile in (None, "-"):
+        parser.error("--reference and --in both read stdin")
     try:
         _write_output(args.outfile, args.handler(args, parser))
     except BrokenPipeError:

@@ -79,8 +79,17 @@ def _read_file(path: str) -> str:
         return "".join(_decode_chunks(handle, path))
 
 
+def _is_stdout(info: os.stat_result) -> bool:
+    # A closed stdout, or one with no descriptor, is no file to match.
+    try:
+        return os.path.samestat(info, os.fstat(_std_fd(sys.stdout)))
+    except (OSError, ValueError):
+        return False
+
+
 def _write_output(path: str | None, pieces: Iterable[str]) -> None:
-    """Write the pieces as UTF-8 to path; '-' or no path writes stdout.
+    """Write the pieces as UTF-8 to path; '-' or no path writes stdout, and
+    so does a path naming the file stdout is open on, as /dev/stdout does.
 
     A regular file is written under a temporary name in its own directory
     and renamed over the target only when every piece is written, so a
@@ -91,30 +100,32 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
     an OSError. An OSError names the output as given, or <stdout>: the
     inputs the pieces are made from report their own errors as _BadInput.
     """
-    stdout = path in (None, "-")
+    given = path not in (None, "-")
     try:
-        target = _std_fd(sys.stdout) if stdout else os.path.realpath(path)
         try:
-            mode = os.stat(target).st_mode
+            info = os.stat(path) if given else None
         except FileNotFoundError:
-            mode = None
-        if stdout or mode is not None and not stat.S_ISREG(mode):
+            info = None
+        stdout = not given or info is not None and _is_stdout(info)
+        if stdout or info is not None and not stat.S_ISREG(info.st_mode):
+            target = _std_fd(sys.stdout) if stdout else path
             with open(target, "w", encoding="utf-8", newline="", closefd=not stdout) as handle:
                 handle.writelines(pieces)
             return
+        target = os.path.realpath(path)
         temp = f"{target}.{os.getpid()}.tmp"
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.writelines(pieces)
-            if mode is not None:
-                os.chmod(temp, stat.S_IMODE(mode))
+            if info is not None:
+                os.chmod(temp, stat.S_IMODE(info.st_mode))
             os.replace(temp, target)
         except BaseException:
             os.unlink(temp)
             raise
     except OSError as err:
-        raise OSError(err.errno, err.strerror, "<stdout>" if stdout else path) from None
+        raise OSError(err.errno, err.strerror, path if given else "<stdout>") from None
 
 
 def _same_file(infile: str | None, outfile: str | None) -> bool:

@@ -29,17 +29,10 @@ from .text_model import ALPHABET, LETTERS, _check_row, canonical_letters, to_upp
 
 # --- playfair (5x5 digram cipher) ---
 
-# 29 letters fold into 25 cells: three cells hold the merged letters
-# S/Ş, U/Ü and V/Y/Z; the first member is the cell's representative.
-_MERGED = {
-    "S": ("S", "Ş"), "Ş": ("S", "Ş"),
-    "U": ("U", "Ü"), "Ü": ("U", "Ü"),
-    "V": ("V", "Y", "Z"), "Y": ("V", "Y", "Z"), "Z": ("V", "Y", "Z"),
-}
-_CELL_OF = {letter: _MERGED.get(letter, (letter,)) for letter in ALPHABET}
-_CELLS_CANONICAL = tuple(
-    _CELL_OF[letter] for letter in ALPHABET if _CELL_OF[letter][0] == letter
-)
+# 29 letters fold into 25 cells: S/Ş, U/Ü and V/Y/Z share one each. Two
+# letters share a cell exactly when they fold to the same letter, which is
+# the cell's representative.
+_FOLD = str.maketrans("ŞÜYZ", "SUVV")
 
 
 class PlayfairSpec(namedtuple("PlayfairSpec", "keyword padding", defaults=("M",))):
@@ -49,18 +42,18 @@ class PlayfairSpec(namedtuple("PlayfairSpec", "keyword padding", defaults=("M",)
 
 
 class PlayfairTable(namedtuple("PlayfairTable", "cells")):
-    """A 5x5 arrangement of the 25 letter cells, row by row."""
+    """The 25 cell representatives in a 5x5 arrangement, row by row, as one string."""
 
     __slots__ = ()
 
     def position_of(self, letter: str) -> tuple[int, int]:
-        try:
-            return divmod(self.cells.index(_CELL_OF[letter]), 5)
-        except (KeyError, ValueError):
-            raise LetterNotInGrid(f"letter {letter!r} has no cell") from None
+        # One letter of the alphabet: "" or "AB" would match inside the row.
+        if len(letter) != 1 or letter not in ALPHABET:
+            raise LetterNotInGrid(f"letter {letter!r} has no cell")
+        return divmod(self.cells.index(letter.translate(_FOLD)), 5)
 
     def representative_at(self, row: int, col: int) -> str:
-        return self.cells[row * 5 + col][0]
+        return self.cells[row * 5 + col]
 
     def same_cell(self, a: str, b: str) -> bool:
         return self.position_of(a) == self.position_of(b)
@@ -72,34 +65,27 @@ def playfair_build(keyword: str) -> PlayfairTable:
     keyword_letters = canonical_letters(keyword)
     if not keyword_letters:
         raise EmptyKeyword("keyword contains no letters")
-    ordered: list[tuple[str, ...]] = []
-    for letter in keyword_letters:
-        cell = _CELL_OF[letter]
-        if cell not in ordered:
-            ordered.append(cell)
-    ordered.extend(cell for cell in _CELLS_CANONICAL if cell not in ordered)
-    return PlayfairTable(tuple(ordered))
+    return PlayfairTable("".join(dict.fromkeys((keyword_letters + ALPHABET).translate(_FOLD))))
 
 
-def _playfair_pairs(
-    letters: str, padding: str, where: dict[str, tuple[int, int]]
-) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
+def _playfair_padded(letters: str, padding: str) -> str:
+    # The folded letters, with the padding after a letter whose neighbor
+    # shares its cell and after a trailing single letter.
+    folded, pad = letters.translate(_FOLD), padding.translate(_FOLD)
+    digrams: list[str] = []
     i = 0
-    while i < len(letters):
-        a = letters[i]
-        if i + 1 < len(letters) and where[a] != where[letters[i + 1]]:
-            pairs.append((a, letters[i + 1]))
+    while i < len(folded):
+        if i + 1 < len(folded) and folded[i] != folded[i + 1]:
+            digrams.append(folded[i : i + 2])
             i += 2
             continue
-        # Same-cell neighbor or trailing single letter: pair with padding.
-        if where[a] == where[padding]:
+        if folded[i] == pad:
             raise PaddingInSameCellAsNeighbor(
-                f"padding {padding!r} shares a cell with {a!r}"
+                f"padding {padding!r} shares a cell with {letters[i]!r}"
             )
-        pairs.append((a, padding))
+        digrams.append(folded[i] + pad)
         i += 1
-    return pairs
+    return "".join(digrams)
 
 
 def _padding_letter(spec: PlayfairSpec) -> str:
@@ -109,31 +95,29 @@ def _padding_letter(spec: PlayfairSpec) -> str:
     return folded
 
 
-def _playfair_map(
-    pair: tuple[str, str], table: PlayfairTable, where: dict[str, tuple[int, int]], shift: int
-) -> tuple[str, str]:
-    (ra, ca), (rb, cb) = where[pair[0]], where[pair[1]]
-    if ra == rb:
-        return table.representative_at(ra, (ca + shift) % 5), table.representative_at(rb, (cb + shift) % 5)
-    if ca == cb:
-        return table.representative_at((ra + shift) % 5, ca), table.representative_at((rb + shift) % 5, cb)
-    return table.representative_at(ra, cb), table.representative_at(rb, ca)
-
-
 def _playfair(message: str, spec: PlayfairSpec, shift: int) -> str:
     # Encryption (shift +1) pads the letters into digrams; decryption
     # (shift -1) takes them two by two.
-    table = playfair_build(spec.keyword)
+    cells = playfair_build(spec.keyword).cells
     letters = canonical_letters(message)
-    # position_of searches the cells; one call looks each letter up once.
-    where = {letter: table.position_of(letter) for letter in ALPHABET}
     if shift > 0:
-        pairs = _playfair_pairs(letters, _padding_letter(spec), where)
+        letters = _playfair_padded(letters, _padding_letter(spec))
     elif len(letters) % 2:
         raise OddLengthCiphertext(f"{len(letters)} letters cannot form digrams")
     else:
-        pairs = zip(letters[::2], letters[1::2])
-    return "".join("".join(_playfair_map(p, table, where, shift)) for p in pairs)
+        letters = letters.translate(_FOLD)
+    where = {letter: divmod(i, 5) for i, letter in enumerate(cells)}
+    out: list[str] = []
+    for a, b in zip(letters[::2], letters[1::2]):
+        (ra, ca), (rb, cb) = where[a], where[b]
+        if ra == rb:
+            ca, cb = (ca + shift) % 5, (cb + shift) % 5
+        elif ca == cb:
+            ra, rb = (ra + shift) % 5, (rb + shift) % 5
+        else:
+            ca, cb = cb, ca
+        out.append(cells[ra * 5 + ca] + cells[rb * 5 + cb])
+    return "".join(out)
 
 
 def playfair_encrypt(message: str, spec: PlayfairSpec) -> str:

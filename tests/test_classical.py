@@ -375,6 +375,10 @@ class TestPlayfair:
         table = playfair_build("kriptografi")
         rows = ["".join(table.representative_at(r, c) for c in range(5)) for r in range(5)]
         assert rows == ["KRİPT", "OGAFB", "CÇDEĞ", "HIJLM", "NÖSUV"]
+        # A keyword of merged letters takes each cell once, by its representative.
+        table = playfair_build("ŞEYZÜ")
+        rows = ["".join(table.representative_at(r, c) for c in range(5)) for r in range(5)]
+        assert rows == ["SEVUA", "BCÇDF", "GĞHIİ", "JKLMN", "OÖPRT"]
 
     def test_known_vectors(self):
         spec = PlayfairSpec("kriptografi")
@@ -382,6 +386,9 @@ class TestPlayfair:
         assert playfair_encrypt("KR", spec) == "Rİ"
         assert playfair_decrypt("AC", spec) == "OD"
         assert playfair_decrypt("ACPV", spec) == "ODTU"
+        spec = PlayfairSpec("ŞEYZÜ")
+        assert playfair_encrypt("Yüzyıl Şehri", spec) == "UAULUHJVVĞTI"
+        assert playfair_decrypt("UAULUHJVVĞTI", spec) == "VUVMVILSEHRİ"
 
     def test_merged_letters_share_cells(self):
         table = playfair_build("kriptografi")
@@ -403,6 +410,17 @@ class TestPlayfair:
             playfair_encrypt("AMM", PlayfairSpec("kriptografi"))
         with pytest.raises(PaddingInSameCellAsNeighbor):
             playfair_encrypt("S", PlayfairSpec("kriptografi", padding="Ş"))
+        # The message names the letters as given, not their cells' representatives.
+        with pytest.raises(PaddingInSameCellAsNeighbor, match=r"^padding 'S' shares a cell with 'Ş'$"):
+            playfair_encrypt("Ş", PlayfairSpec("kriptografi", padding="S"))
+        with pytest.raises(PaddingInSameCellAsNeighbor, match=r"^padding 'V' shares a cell with 'Z'$"):
+            playfair_encrypt("AYZ", PlayfairSpec("kriptografi", padding="V"))
+
+    # "KR" opens the row of the kriptografi table, so a bare search finds it.
+    @pytest.mark.parametrize("letter", ["", "AB", "KR", "x", "ş", "Q"])
+    def test_position_of_needs_one_uppercase_letter(self, letter: str):
+        with pytest.raises(LetterNotInGrid, match=f"^letter {letter!r} has no cell$"):
+            playfair_build("kriptografi").position_of(letter)
 
     def test_empty_keyword(self):
         with pytest.raises(EmptyKeyword):

@@ -258,6 +258,39 @@ class TestFileSafety:
         assert (done.returncode, done.stdout) == (2, b"")
         assert done.stderr.decode() == f"error: [Errno 9] Bad file descriptor: {name!r}\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_naming_a_stdout_pipe_writes_stdout(self):
+        code, out, err = run("keygen", "--seed", "1", "--out", "/dev/stdout")
+        assert (code, out, err) == (0, *run("keygen", "--seed", "1")[1:])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("mode", ["wb", "ab"])
+    def test_out_naming_a_stdout_file_writes_in_place(self, tmp_path: pathlib.Path, mode: str):
+        # As `(echo header; dgcipher … --out /dev/stdout; echo trailer) > log.txt`,
+        # or `>>`: the file is not replaced, so neither line is lost.
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"old\n")
+        with open(log, mode) as shared:
+            shared.write(b"header\n")
+            shared.flush()
+            done = subprocess.run(
+                [*CMD, "keygen", "--seed", "1", "--out", "/dev/stdout"], stdout=shared, stderr=subprocess.PIPE
+            )
+            shared.write(b"trailer\n")
+        assert (done.returncode, done.stderr) == (0, b"")
+        kept = b"old\n" if mode == "ab" else b""
+        assert log.read_bytes() == kept + b"header\n" + run("keygen", "--seed", "1")[1] + b"trailer\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.txt"]
+
+    def test_out_file_needs_no_stdout(self, tmp_path: pathlib.Path):
+        target = tmp_path / "k.keys"
+        done = subprocess.run(
+            [*CMD, "keygen", "--seed", "1", "--out", str(target)],
+            stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert target.read_bytes() == run("keygen", "--seed", "1")[1]
+
     def test_out_file_keeps_its_permissions_and_symlink(self, tmp_path: pathlib.Path):
         source = tmp_path / "plain.txt"
         source.write_text("Mikroişlemci", encoding="utf-8")
@@ -608,6 +641,26 @@ class TestAnalysisCommands:
         assert code == 0
         assert out == b"4\n"
         assert len(err.decode().splitlines()) == 29
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("crack", "--reference", "-"),
+            ("crack", "--reference", "-", "--in", "-"),
+            ("flatness", "--key", "paper", "--reference", "-"),
+        ],
+        ids=["crack", "crack-in-dash", "flatness"],
+    )
+    def test_reference_and_input_cannot_both_read_stdin(self, corpus_text: str, argv: tuple[str, ...]):
+        code, out, err = run(*argv, stdin=corpus_text.encode())
+        assert (code, out) == (1, b"")
+        assert err.endswith(b"error: --reference and --in both read stdin\n")
+
+    def test_reference_from_stdin(self, tmp_path: pathlib.Path, corpus_text: str):
+        source = tmp_path / "cipher.txt"
+        source.write_text(shift_encrypt(corpus_text[:900], 7), encoding="utf-8")
+        code, out, err = run("crack", "--reference", "-", "--in", str(source), stdin=corpus_text.encode())
+        assert (code, out, err) == (0, b"7\n", b"")
 
     def test_flatness_text(self, corpus_path: pathlib.Path, corpus_text: str):
         code, out, _ = run(

@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never uses, or asserts.
+"""No module of the package imports a name it never uses, or asserts, and
+the package reads every private name it defines at module level.
 
 An import bound inside a function must be read in that function; one at
 module level must be read somewhere in the module. Annotations count as
-reads, so names imported for annotations only pass. Validation raises
-instead of asserting, because `python -O` strips assert statements.
+reads, so names imported for annotations only pass. A private name bound
+at module level must be read in some module of the package, so a table
+or helper left behind by a rewrite fails. Validation raises instead of
+asserting, because `python -O` strips assert statements.
 """
 
 from __future__ import annotations
@@ -46,3 +49,44 @@ def test_module_uses_every_name_it_imports(source: pathlib.Path):
 def test_module_has_no_assert_statement(source: pathlib.Path):
     tree = ast.parse(source.read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each private name the module binds at its top level.
+
+    Dunder names are not private: the interpreter or outside tools read
+    them, as with the PEP 562 hooks __getattr__ and __dir__ and __version__.
+    """
+    bound: list[tuple[int, str]] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(node.lineno, target.id) for target in targets if isinstance(target, ast.Name)]
+    return [(line, name) for line, name in bound if name.startswith("_") and not name.endswith("__")]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module loads, reads as an attribute or imports from another module."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_package_reads_every_private_name_it_defines():
+    trees = {source.name: ast.parse(source.read_text(encoding="utf-8")) for source in SOURCES}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = [
+        (module, line, name)
+        for module, tree in trees.items()
+        for line, name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert unread == []
