@@ -31,9 +31,7 @@ _EXPORTS = {
     ),
     "cascade": (
         "composite_table",
-        "decrypt_letter",
         "decrypt_message",
-        "encrypt_letter",
         "encrypt_message",
         "transform_stream",
     ),

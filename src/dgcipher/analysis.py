@@ -96,10 +96,11 @@ def rank_match_attack(ciphertext: str, reference: FrequencyTable) -> Substitutio
     reference letter, and so on down both rankings. Ties break in alphabet
     order, so the guess is deterministic.
     """
-    observed = letter_frequencies(ciphertext)
-    return SubstitutionGuess(
-        mapping=dict(zip(observed.ranked(), reference.ranked()))
-    )
+    return SubstitutionGuess(mapping=_rank_match(letter_frequencies(ciphertext), reference))
+
+
+def _rank_match(observed: FrequencyTable, reference: FrequencyTable) -> dict[str, str]:
+    return dict(zip(observed.ranked(), reference.ranked()))
 
 
 def chi_squared_distance(observed: FrequencyTable, expected: FrequencyTable) -> float:
@@ -228,7 +229,7 @@ def _cipher_profile(
         for n, image in zip(plain, row):
             counts[image] += n
     table = _table_from_counts(counts)
-    guess = dict(zip(table.ranked(), reference.ranked()))
+    guess = _rank_match(table, reference)
     recovered = sum(
         n
         for plain, row in phases

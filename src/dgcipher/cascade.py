@@ -30,7 +30,6 @@ from .text_model import (
     LETTERS,
     Group,
     IndexMode,
-    letter_index,
     substitution_table,
     translate_stream,
 )
@@ -39,16 +38,6 @@ from .text_model import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
-
-def encrypt_letter(letter: str, group: Group, keyset: CascadeKeySet) -> str:
-    """Encrypt one canonical letter through the given group's pipeline."""
-    return keyset.composite_rows[group.value - 1][letter_index(letter)]
-
-
-def decrypt_letter(letter: str, group: Group, keyset: CascadeKeySet) -> str:
-    """Invert encrypt_letter: the letter the group's pipeline sends here."""
-    letter_index(letter)  # rejects anything but a canonical letter
-    return ALPHABET[keyset.composite_rows[group.value - 1].index(letter)]
 
 
 def transform_stream(

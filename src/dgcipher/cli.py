@@ -1,9 +1,10 @@
 """Command line interface for the toolkit.
 
 Exit codes: 0 on success, 1 on usage errors (unknown commands or flags,
-malformed flag values, --in and --out naming one file, --reference and
---in both reading stdin), 2 on data errors (unreadable input, output that
-cannot be written, invalid UTF-8, malformed keys or ciphertext).
+malformed flag values, --in and --out naming one file, two of --key,
+--key-file, --reference and --in reading stdin), 2 on data errors
+(unreadable input, output that cannot be written, invalid UTF-8,
+malformed keys or ciphertext). '-' reads stdin for every input flag.
 Transformed payload goes to stdout or the --out file only; warnings and
 verbose notes go to stderr. Each command's handler takes (args, parser)
 and returns its output as an iterable of strings, which main writes. An
@@ -25,7 +26,7 @@ import argparse
 import sys
 from importlib import import_module
 
-from .cli_io import _BadInput, _same_file, _write_output
+from .cli_io import _BadInput, _check_inputs, _write_output
 from .errors import CipherError
 
 # Annotation-only names; `typing` is not imported at run time.
@@ -76,10 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv)
     args = parser.parse_args(argv)
-    if "infile" in args and _same_file(args.infile, args.outfile):
-        parser.error(f"--in and --out name the same file: {args.outfile}")
-    if "reference" in args and args.reference == "-" and args.infile in (None, "-"):
-        parser.error("--reference and --in both read stdin")
+    _check_inputs(args, parser)
     try:
         _write_output(args.outfile, args.handler(args, parser))
     except BrokenPipeError:

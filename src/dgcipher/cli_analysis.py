@@ -10,13 +10,6 @@ from .errors import EmptyText
 from .text_model import ALPHABET, IndexMode, phase_counts
 
 
-def _letter_table(path: str | None):
-    """Letter counts of a UTF-8 file (or stdin), read in chunks."""
-    from .analysis import build_reference_table
-
-    return build_reference_table(_input_chunks(path))
-
-
 def _cmd_analyze(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     # Counted here rather than through analysis.FrequencyTable, so that
     # the call compiles no analysis module.
@@ -33,9 +26,9 @@ def _cmd_analyze(args: argparse.Namespace, _parser: argparse.ArgumentParser):
 
 
 def _cmd_crack(args: argparse.Namespace, _parser: argparse.ArgumentParser):
-    from .analysis import crack_shift
+    from .analysis import build_reference_table, crack_shift
 
-    reference = _letter_table(args.reference)
+    reference = build_reference_table(_input_chunks(args.reference))
     guess = crack_shift(_input_chunks(args.infile), reference, min_letters=args.min_letters)
     if guess.low_confidence:
         print(
@@ -49,10 +42,10 @@ def _cmd_crack(args: argparse.Namespace, _parser: argparse.ArgumentParser):
 
 
 def _cmd_flatness(args: argparse.Namespace, _parser: argparse.ArgumentParser):
-    from .analysis import flatness_report
+    from .analysis import build_reference_table, flatness_report
 
     keyset = _resolve_keyset(args.key)
-    reference = _letter_table(args.reference)
+    reference = build_reference_table(_input_chunks(args.reference))
     report = flatness_report(
         _input_chunks(args.infile), keyset, reference, mode=IndexMode(args.index_mode)
     )

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import argparse
 
-from .cli_io import _add_io_flags, _input_chunks, _read_file
+from .cli_io import _add_io_flags, _input_chunks
 from .text_model import Alphabet
 
 _CIPHERS = ("shift", "atbash", "vigenere", "playfair", "polybius", "railfence", "scytale", "vernam")
@@ -42,7 +42,7 @@ def _cmd_classical(args: argparse.Namespace, parser: argparse.ArgumentParser):
     if cipher == "vernam":
         from .classical import vernam_decrypt, vernam_encrypt
 
-        key = _read_file(args.key_file) if args.key_file is not None else args.key
+        key = "".join(_input_chunks(args.key_file)) if args.key_file is not None else args.key
         result = (vernam_decrypt if decrypt else vernam_encrypt)(text, key)
     else:
         from . import grids

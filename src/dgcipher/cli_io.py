@@ -20,6 +20,9 @@ if TYPE_CHECKING:
 
 _CHUNK_SIZE = 1 << 16
 _PAPER_KEY_NAME = "paper"
+# The flags naming a file that a command reads, in the order a usage error
+# names them. classical's --key holds key letters, not a path.
+_INPUT_FLAGS = {"key": "--key", "key_file": "--key-file", "reference": "--reference", "infile": "--in"}
 
 
 class _BadInput(Exception):
@@ -74,17 +77,19 @@ def _input_chunks(path: str | None) -> Iterator[str]:
         raise _BadInput(OSError(err.errno, err.strerror, name)) from None
 
 
-def _read_file(path: str) -> str:
-    with open(path, "rb") as handle:
-        return "".join(_decode_chunks(handle, path))
-
-
-def _is_stdout(info: os.stat_result) -> bool:
-    # A closed stdout, or one with no descriptor, is no file to match.
+def _stat(target: str | TextIO | None) -> os.stat_result | None:
+    """Stat a path or a standard stream: None for a path that cannot be
+    stat'ed, and for a stream closed or with no descriptor."""
     try:
-        return os.path.samestat(info, os.fstat(_std_fd(sys.stdout)))
+        return os.stat(target) if isinstance(target, str) else os.fstat(_std_fd(target))
     except (OSError, ValueError):
-        return False
+        return None
+
+
+def _is_file(info: os.stat_result | None, target: str | TextIO | None) -> bool:
+    """Whether info is the file that target, a path or a standard stream, names."""
+    other = None if info is None else _stat(target)
+    return other is not None and os.path.samestat(info, other)
 
 
 def _write_output(path: str | None, pieces: Iterable[str]) -> None:
@@ -106,7 +111,7 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
             info = os.stat(path) if given else None
         except FileNotFoundError:
             info = None
-        stdout = not given or info is not None and _is_stdout(info)
+        stdout = not given or _is_file(info, sys.stdout)
         if stdout or info is not None and not stat.S_ISREG(info.st_mode):
             target = _std_fd(sys.stdout) if stdout else path
             with open(target, "w", encoding="utf-8", newline="", closefd=not stdout) as handle:
@@ -128,13 +133,28 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
         raise OSError(err.errno, err.strerror, path if given else "<stdout>") from None
 
 
-def _same_file(infile: str | None, outfile: str | None) -> bool:
-    if infile in (None, "-") or outfile in (None, "-"):
-        return False
-    try:
-        return os.path.samefile(infile, outfile)
-    except OSError:  # either file is missing: they cannot be one file
-        return False
+def _check_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Refuse --in and --out naming one file, and two inputs that both read
+    stdin: '-' (or --in left out), or a path naming stdin's pipe, tty or
+    socket. A regular file opened again by path (Linux opens /dev/stdin
+    anew) reads from its own offset, so it may be read twice. Each path
+    given is stat'ed once."""
+    named = {flag: getattr(args, dest, None) for dest, flag in _INPUT_FLAGS.items()}
+    if "cipher" in args or named["--key"] == _PAPER_KEY_NAME:
+        del named["--key"]  # key letters, or the built-in keyset: no file
+    if "infile" in args and args.infile is None:
+        named["--in"] = "-"
+    infos = {flag: _stat(path) for flag, path in named.items() if path not in (None, "-")}
+    if args.outfile not in (None, "-") and _is_file(infos.get("--in"), args.outfile):
+        parser.error(f"--in and --out name the same file: {args.outfile}")
+    stdin_paths = [
+        flag
+        for flag, info in infos.items()
+        if info is not None and not stat.S_ISREG(info.st_mode) and _is_file(info, sys.stdin)
+    ]
+    readers = [flag for flag, path in named.items() if path == "-" or flag in stdin_paths]
+    if len(readers) > 1:
+        parser.error(f"{readers[0]} and {readers[1]} both read stdin")
 
 
 def _resolve_keyset(name: str):
@@ -142,7 +162,7 @@ def _resolve_keyset(name: str):
 
     if name == _PAPER_KEY_NAME:
         return example_keyset()
-    return parse_keyset(_read_file(name))
+    return parse_keyset("".join(_input_chunks(name)))
 
 
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:

@@ -46,7 +46,6 @@ from dgcipher import (
     composite_table,
     crack_shift,
     decrypt_message,
-    encrypt_letter,
     encrypt_message,
     example_keyset,
     flatness_report,
@@ -133,8 +132,9 @@ class TestCriterion1:
                 failures.append(f"{name}: got {got!r}, want {want!r}")
 
         start = time.perf_counter()
-        expect("cascade 'A' via group 1", encrypt_letter("A", Group.GROUP1, keyset), "V")
-        expect("cascade 'A' via group 2", encrypt_letter("A", Group.GROUP2, keyset), "Ğ")
+        group1, group2 = keyset.composite_rows
+        expect("cascade 'A' via group 1", group1[letter_index("A")], "V")
+        expect("cascade 'A' via group 2", group2[letter_index("A")], "Ğ")
         expect("atbash 'Bugün' folded", to_lower_tr(atbash("Bugün")), "ydsçj")
         shift_name = "shift 'Gazi' by 3"
         recorded, corrected, _ = PAPER_ERRATA[shift_name]
@@ -215,10 +215,16 @@ class TestCriterion3:
         cases = 0
         for _ in range(100):
             keyset = generate_keyset(rng.randrange(2**64))
-            for group in Group:
+            final = keyset.final.letters
+            for group, stages in zip(Group, (keyset.group1, keyset.group2)):
                 table = composite_table(group, keyset)
                 for letter in ALPHABET:
-                    assert table.letters[letter_index(letter)] == encrypt_letter(letter, group, keyset)
+                    # The pipeline letter by letter: three stages, then the
+                    # final row's cyclic predecessor.
+                    image = letter
+                    for stage in stages:
+                        image = stage.letters[letter_index(image)]
+                    assert table.letters[letter_index(letter)] == final[final.index(image) - 1]
                     cases += 1
         C3_SUITES["composite equivalence"] = (cases, time.perf_counter() - start)
 

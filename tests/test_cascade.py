@@ -15,9 +15,7 @@ from dgcipher import (
     IndexMode,
     SubstitutionAlphabet,
     composite_table,
-    decrypt_letter,
     decrypt_message,
-    encrypt_letter,
     encrypt_message,
     example_keyset,
     generate_keyset,
@@ -83,31 +81,34 @@ def identity_keyset() -> CascadeKeySet:
 
 
 class TestLetterMaps:
+    # composite_rows[0] is GROUP1's image of each letter, [1] GROUP2's.
     def test_known_letter_images(self, keyset: CascadeKeySet):
-        assert encrypt_letter("A", Group.GROUP1, keyset) == "V"
-        assert encrypt_letter("A", Group.GROUP2, keyset) == "Ğ"
-        assert encrypt_letter("M", Group.GROUP1, keyset) == "F"
+        group1, group2 = keyset.composite_rows
+        assert group1[letter_index("A")] == "V"
+        assert group2[letter_index("A")] == "Ğ"
+        assert group1[letter_index("M")] == "F"
 
     def test_decrypt_inverts_encrypt(self, keyset: CascadeKeySet):
-        for group in Group:
-            for letter in ALPHABET:
-                image = encrypt_letter(letter, group, keyset)
-                assert decrypt_letter(image, group, keyset) == letter
+        # A letter at position 0 takes GROUP1's row, at position 1 GROUP2's.
+        for position, row in enumerate(keyset.composite_rows):
+            for letter, image in zip(ALPHABET, row):
+                message = "A" * position + letter
+                ciphertext = encrypt_message(message, keyset)
+                assert ciphertext[position] == image
+                assert decrypt_message(ciphertext, keyset) == message
 
     def test_identity_stages_leave_only_the_final_step(self):
-        ks = identity_keyset()
+        group1, group2 = identity_keyset().composite_rows
         # with identity stages the output is the cyclic predecessor
-        assert encrypt_letter("A", Group.GROUP1, ks) == "Z"
-        assert encrypt_letter("B", Group.GROUP2, ks) == "A"
-        assert encrypt_message("ABC", ks) == "ZAB"
+        assert group1[letter_index("A")] == "Z"
+        assert group2[letter_index("B")] == "A"
+        assert encrypt_message("ABC", identity_keyset()) == "ZAB"
 
 
 class TestCompositeTable:
     def test_matches_letterwise_encryption(self, keyset: CascadeKeySet):
-        for group in Group:
-            table = composite_table(group, keyset)
-            for letter in ALPHABET:
-                assert table.letters[letter_index(letter)] == encrypt_letter(letter, group, keyset)
+        for group, row in zip(Group, keyset.composite_rows):
+            assert composite_table(group, keyset).letters == row
 
     def test_known_group1_composite(self, keyset: CascadeKeySet):
         assert composite_table(Group.GROUP1, keyset).letters == "VLNDMAYREBĞCJPKFOGŞIUÖÇZİSTÜH"

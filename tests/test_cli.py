@@ -687,6 +687,124 @@ class TestAnalysisCommands:
         assert b"TooShort" in err
 
 
+
+def needs(path: str):
+    return pytest.mark.skipif(not os.path.exists(path), reason=f"needs {path}")
+
+
+STDIN_PATHS = [pytest.param(path, marks=needs(path), id=path) for path in ("/dev/stdin", "/dev/fd/0")]
+
+
+class TestOneInputReadsStdin:
+    """An input reads stdin when it is '-' (or --in left out), or a path
+    naming the pipe, tty or socket stdin is open on. A call in which two
+    inputs read stdin is a usage error, before anything is read or written."""
+
+    # "{}" is the stdin spelling under test, "{corpus}" the corpus file.
+    @pytest.mark.parametrize("spelling", ["-", *STDIN_PATHS])
+    @pytest.mark.parametrize("infile", [(), ("--in", "-")], ids=["in-omitted", "in-dash"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("encrypt", "--key", "{}"), "--key"),
+            (("flatness", "--key", "{}", "--reference", "{corpus}"), "--key"),
+            (("classical", "vernam", "--key-file", "{}"), "--key-file"),
+            (("crack", "--reference", "{}"), "--reference"),
+            (("flatness", "--key", "paper", "--reference", "{}"), "--reference"),
+        ],
+        ids=["encrypt-key", "flatness-key", "vernam-key-file", "crack-reference", "flatness-reference"],
+    )
+    def test_second_stdin_reader_is_refused(
+        self, tmp_path: pathlib.Path, corpus_path: pathlib.Path, corpus_text: str,
+        argv: tuple[str, ...], flag: str, infile: tuple[str, ...], spelling: str,
+    ):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"previous contents")
+        argv = tuple(a.format(spelling, corpus=corpus_path) for a in argv)
+        code, out, err = run(*argv, *infile, "--out", str(target), stdin=corpus_text.encode())
+        assert (code, out) == (1, b"")
+        assert err.endswith(f"error: {flag} and --in both read stdin\n".encode())
+        assert target.read_bytes() == b"previous contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_the_first_two_readers_are_named(self, corpus_text: str):
+        code, out, err = run("flatness", "--key", "-", "--reference", "-", stdin=corpus_text.encode())
+        assert (code, out) == (1, b"")
+        assert err.endswith(b"error: --key and --reference both read stdin\n")
+
+    @needs("/dev/stdin")
+    @pytest.mark.parametrize(
+        "argv, feed, flag",
+        [
+            (("encrypt", "--key", "/dev/stdin"), ("keygen", "--seed", "7"), "--key"),
+            (
+                ("classical", "vernam", "--key-file", "/dev/stdin"),
+                ("keygen", "--seed", "7", "--otp-length", "64"),
+                "--key-file",
+            ),
+            (("crack", "--reference", "/dev/stdin"), None, "--reference"),
+        ],
+        ids=["encrypt-key", "vernam-key-file", "crack-reference"],
+    )
+    def test_piped_key_or_reference_is_refused(
+        self, corpus_text: str, argv: tuple[str, ...], feed: tuple[str, ...] | None, flag: str
+    ):
+        # As `dgcipher keygen --seed 7 | dgcipher encrypt --key /dev/stdin`,
+        # which read the key file and then an empty message.
+        stdin = corpus_text.encode() if feed is None else run(*feed)[1]
+        code, out, err = run(*argv, stdin=stdin)
+        assert (code, out) == (1, b"")
+        assert err.endswith(f"error: {flag} and --in both read stdin\n".encode())
+
+    @pytest.mark.parametrize("spelling", ["-", *STDIN_PATHS])
+    @pytest.mark.parametrize(
+        "argv, keygen",
+        [
+            (("encrypt", "--key"), ("--seed", "7")),
+            (("classical", "vernam", "--key-file"), ("--seed", "77", "--otp-length", "64")),
+        ],
+        ids=["encrypt-key", "vernam-key-file"],
+    )
+    def test_piped_key_with_a_file_input(
+        self, tmp_path: pathlib.Path, argv: tuple[str, ...], keygen: tuple[str, ...], spelling: str
+    ):
+        source = tmp_path / "plain.txt"
+        source.write_text("Çok gizli mesaj", encoding="utf-8")
+        key_file = tmp_path / "k.keys"
+        key_file.write_bytes(run("keygen", *keygen)[1])
+        want = run(*argv, str(key_file), "--in", str(source))
+        assert want[0] == 0
+        assert run(*argv, spelling, "--in", str(source), stdin=key_file.read_bytes()) == want
+
+    @needs("/dev/stdin")
+    @pytest.mark.parametrize("infile", [True, False], ids=["in-file", "in-omitted"])
+    def test_reference_naming_a_regular_stdin_file(
+        self, tmp_path: pathlib.Path, corpus_path: pathlib.Path, corpus_text: str, infile: bool
+    ):
+        # A regular file opened again by path reads from its own offset,
+        # so it and descriptor 0 each read it whole.
+        source = tmp_path / "cipher.txt"
+        source.write_text(shift_encrypt(corpus_text[:900], 7), encoding="utf-8")
+        argv = [*CMD, "crack", "--reference", "/dev/stdin", *(("--in", str(source)) if infile else ())]
+        with open(corpus_path, "rb") as stdin:
+            done = subprocess.run(argv, stdin=stdin, capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"7\n" if infile else b"0\n", b"")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("encrypt", "--key", "{}"),
+            ("classical", "vernam", "--key-file", "{}"),
+            ("crack", "--reference", "{}"),
+        ],
+        ids=["encrypt-key", "vernam-key-file", "crack-reference"],
+    )
+    def test_missing_file_is_a_data_error_naming_it(self, tmp_path: pathlib.Path, argv: tuple[str, ...]):
+        missing = str(tmp_path / "nope.txt")
+        code, out, err = run(*(a.format(missing) for a in argv), stdin=b"AA")
+        assert (code, out) == (2, b"")
+        assert err.decode() == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
 def parse(parser, argv: list[str]) -> tuple[object, str, str]:
     """What parsing argv returns or exits with, and what it prints."""
     out, err = io.StringIO(), io.StringIO()

@@ -24,7 +24,7 @@ from dgcipher import (
     parse_keyset,
     serialize_keyset,
 )
-from dgcipher.keyset import ROW_LABELS, SplitMix64
+from dgcipher.keyset import RNG_NAME, ROW_LABELS, SplitMix64
 
 EXAMPLE_TEXT = (
     "CASCADE-KEYS v1\n"
@@ -35,6 +35,19 @@ EXAMPLE_TEXT = (
     "G2S2: ŞVHÖÇDAJLİREPIZCFNĞÜKTYBGSUOM\n"
     "G2S3: ZŞNIDYSMHÇVRLĞCÜPKGBUÖJFATİOE\n"
     "FINAL: DÖJASZBNÜLCRŞEÇYĞFITHGİOKVMPU\n"
+)
+
+# `dgcipher keygen --seed 424242`: a seed regenerates its keyset forever.
+SEED_424242_TEXT = (
+    "CASCADE-KEYS v1\n"
+    "# rng: splitmix64\n"
+    "G1S1: GMĞHLİFBSÜNPEYCÇZOVJŞKARÖTDIU\n"
+    "G1S2: EGHKTOYŞRVÜMCUJIÇZİPNLDĞBSAFÖ\n"
+    "G1S3: TBLCNPIÖZADMÇRİUFYEJHĞKSŞGOVÜ\n"
+    "G2S1: GLZJAUTVÇPÖIMDCNİRBKYOŞFHÜSEĞ\n"
+    "G2S2: UCSPBŞHIOTYEAİLMFĞGRDÇÜJNVKZÖ\n"
+    "G2S3: TVJĞCÖHİRGYAÇKBNLUMISFÜZEPOŞD\n"
+    "FINAL: PİSHÜFBNUITKVOŞZÖRMDĞALÇEJCGY\n"
 )
 
 
@@ -95,6 +108,9 @@ class TestSplitMix64:
 class TestGenerateKeyset:
     def test_deterministic(self):
         assert generate_keyset(42) == generate_keyset(42)
+
+    def test_seeded_keyset_is_frozen(self):
+        assert serialize_keyset(generate_keyset(424242), rng_name=RNG_NAME) == SEED_424242_TEXT
 
     def test_seed_changes_keys(self):
         assert generate_keyset(1) != generate_keyset(2)
