@@ -19,7 +19,7 @@ from .text_model import (
     IndexMode,
     phase_counts,
     substitution_table,
-    translate_periodic,
+    translate_stream,
 )
 
 # Annotation-only names; `typing` is not imported at run time.
@@ -86,7 +86,7 @@ class SubstitutionGuess(namedtuple("SubstitutionGuess", "mapping")):
     def apply(self, text: str) -> str:
         """Rewrite a text through the guess, keeping passthrough and case."""
         table = substitution_table("".join(self.mapping), "".join(self.mapping.values()))
-        return translate_periodic(text, (table,))[0]
+        return "".join(translate_stream([text], (table,)))
 
 
 def rank_match_attack(ciphertext: str, reference: FrequencyTable) -> SubstitutionGuess:

@@ -1,7 +1,8 @@
 """Command line interface for the toolkit.
 
 Exit codes: 0 on success, 1 on usage errors (unknown commands or flags,
-malformed flag values, --in and --out naming one file, two of --key,
+malformed flag values, --in and --out naming one file, an --in or stdin
+that is the non-empty regular file stdout writes to, two of --key,
 --key-file, --reference and --in reading stdin), 2 on data errors
 (unreadable input, output that cannot be written, invalid UTF-8,
 malformed keys or ciphertext). '-' reads stdin for every input flag.

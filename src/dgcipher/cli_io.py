@@ -134,19 +134,33 @@ def _write_output(path: str | None, pieces: Iterable[str]) -> None:
 
 
 def _check_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Refuse --in and --out naming one file, and two inputs that both read
+    """Refuse --in and --out naming one file; an --in (a path, or stdin)
+    that is the non-empty regular file stdout writes to, which would read
+    its own output back without end, as `--in f.txt >> f.txt` does (after
+    the shell's `> f.txt` it is empty); and two inputs that both read
     stdin: '-' (or --in left out), or a path naming stdin's pipe, tty or
     socket. A regular file opened again by path (Linux opens /dev/stdin
-    anew) reads from its own offset, so it may be read twice. Each path
-    given is stat'ed once."""
+    anew) reads from its own offset, so it may be read twice. The paths
+    given are stat'ed here, and --out again when it is written."""
     named = {flag: getattr(args, dest, None) for dest, flag in _INPUT_FLAGS.items()}
     if "cipher" in args or named["--key"] == _PAPER_KEY_NAME:
         del named["--key"]  # key letters, or the built-in keyset: no file
     if "infile" in args and args.infile is None:
         named["--in"] = "-"
     infos = {flag: _stat(path) for flag, path in named.items() if path not in (None, "-")}
-    if args.outfile not in (None, "-") and _is_file(infos.get("--in"), args.outfile):
+    to_stdout = args.outfile in (None, "-")
+    if not to_stdout and _is_file(infos.get("--in"), args.outfile):
         parser.error(f"--in and --out name the same file: {args.outfile}")
+    stdin = named["--in"] == "-"
+    source = _stat(sys.stdin) if stdin else infos.get("--in")
+    if (
+        source is not None
+        and stat.S_ISREG(source.st_mode)
+        and source.st_size
+        and _is_file(source, sys.stdout)
+        and (to_stdout or _is_file(source, args.outfile))
+    ):
+        parser.error(f"input file is output file: {'<stdin>' if stdin else named['--in']}")
     stdin_paths = [
         flag
         for flag, info in infos.items()

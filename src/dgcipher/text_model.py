@@ -18,13 +18,13 @@ Every letter-wise cipher in the package is a periodic substitution: the
 i-th letter (or character) goes through tables[i % p]. substitution_table
 builds one case-aware bytes.translate table over Latin-5 (ISO-8859-9),
 which holds the 58 Turkish letter forms and the 52 ASCII letters in one
-byte each, and translate_periodic applies a tuple of them to the text's
-Latin-5 bytes, so no cipher walks a message one character at a time.
-Counted over all characters, each strided slice takes one translate.
-Counted over letters, period two picks each byte from the text translated
-by either table; any other period translates the letters alone and
-scatters them back through one "%c" template. translate_stream carries
-the phase from one chunk of a text to the next. Letter counting
+byte each, and translate_stream, the engine's one entry, applies a tuple
+of them to the Latin-5 bytes of a text in chunks, carrying the phase from
+one chunk to the next, so no cipher walks a message one character at a
+time. Counted over all characters, each strided slice takes one
+translate. Counted over letters, period two picks each byte from the text
+translated by either table; any other period translates the letters alone
+and scatters them back through one "%c" template. Letter counting
 (phase_counts) works on the same Latin-5 bytes, folded to uppercase,
 and keeps the same phase rule: it counts each letter per phase, so a
 period-p cipher's statistics come from one pass over the plaintext.
@@ -89,7 +89,7 @@ def phase_counts(
     """Count each canonical letter per phase over a text in chunks.
 
     The i-th counted character is in phase i % period, counted as
-    translate_periodic counts: every character with letters None, or
+    translate_stream counts: every character with letters None, or
     only those in letters (such as LETTERS). The phase is carried from
     one chunk to the next, and a plain string counts as one chunk.
 
@@ -130,45 +130,31 @@ def substitution_table(
     )
 
 
-def translate_periodic(
-    text: str,
-    tables: Sequence[bytes],
-    phase: int = 0,
-    letters: str | None = None,
-) -> tuple[str, int]:
-    """Send the i-th counted character of text through tables[(phase + i) % p].
+def translate_stream(
+    chunks: Iterable[str], tables: Sequence[bytes], letters: str | None = None
+) -> Iterator[str]:
+    """Send the i-th counted character of a text through tables[i % p],
+    chunk by chunk, yielding one output chunk per input chunk.
 
     The tables come from substitution_table. With letters None every
     character is counted. With a string of letters (such as LETTERS) only
     those characters are counted and translated; everything else is copied
-    verbatim.
-
-    Returns the output and the phase for the text that follows, so a
-    stream translated chunk by chunk equals the whole text translated once.
+    verbatim. The phase is carried from one chunk to the next: one stream
+    is one text, however it is split, so memory use is bounded by chunk size.
     """
     period = len(tables)
-    data = text.encode(_LATIN5, "replace")
-    if letters is None:
-        out, counted = _strided(data, tables, phase), len(data)
-    elif period == 2:  # counted is then the letter count's parity
-        out, counted = _by_parity(data, tables, phase, letters.encode(_LATIN5))
-    else:
-        out, counted = _scattered(data, tables, phase, letters.encode(_LATIN5))
-    return _decode(out, text), (phase + counted) % period
-
-
-def translate_stream(
-    chunks: Iterable[str], tables: Sequence[bytes], letters: str | None = None
-) -> Iterator[str]:
-    """translate_periodic over a text delivered in chunks, yielding output chunks.
-
-    The phase is carried from one chunk to the next: one stream is one
-    text, however it is split, so memory use is bounded by chunk size.
-    """
+    letter_bytes = None if letters is None else letters.encode(_LATIN5)
     phase = 0
     for chunk in chunks:
-        out, phase = translate_periodic(chunk, tables, phase, letters)
-        yield out
+        data = chunk.encode(_LATIN5, "replace")
+        if letter_bytes is None:
+            out, counted = _strided(data, tables, phase), len(data)
+        elif period == 2:  # counted is then the letter count's parity
+            out, counted = _by_parity(data, tables, phase, letter_bytes)
+        else:
+            out, counted = _scattered(data, tables, phase, letter_bytes)
+        phase = (phase + counted) % period
+        yield _decode(out, chunk)
 
 
 def _strided(data: bytes, tables: Sequence[bytes], phase: int) -> bytearray:

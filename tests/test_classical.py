@@ -218,6 +218,9 @@ class TestPerLetterEquivalence:
 class TestStreams:
     @given(tricky_texts, st.lists(st.integers(min_value=0, max_value=40), max_size=4))
     @example("a%b" + TRICKY + "Gazi", [1, 2, 3])
+    # An empty chunk and a chunk with no letters carry the phase unchanged.
+    @example("Ab!?  C%d", [2, 2, 6])
+    @example("Ğ🙂..ş İı", [0, 1, 4, 4])
     def test_any_split_equals_the_whole_text(self, message: str, cuts: list[int]):
         pieces = [message[a:b] for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), len(message)])]
         for decrypt in (False, True):

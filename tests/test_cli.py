@@ -131,6 +131,44 @@ class TestFileSafety:
         assert b"same file" in err
         assert target.read_bytes() == "Gazi Üniversitesi".encode()
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            pytest.param(("--in", "{target}"), "{target}", id="in-path"),
+            pytest.param((), "<stdin>", id="stdin"),
+            pytest.param(
+                ("--out", "/dev/stdout"), "<stdin>", id="stdin-out-dev-stdout",
+                marks=pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout"),
+            ),
+        ],
+    )
+    def test_input_that_stdout_appends_to_is_refused(
+        self, tmp_path: pathlib.Path, flags: tuple[str, ...], name: str
+    ):
+        # As `--in f.txt >> f.txt` or `< f.txt >> f.txt`, which on a file
+        # larger than the output buffer read their own output back without
+        # end; the timeout turns such a hang into a failure.
+        target = tmp_path / "f.txt"
+        target.write_bytes("Gazi Üniversitesi".encode())
+        argv = [*CMD, "encrypt", "--key", "paper", *(f.format(target=target) for f in flags)]
+        with open(target, "rb") as source, open(target, "ab") as sink:
+            done = subprocess.run(argv, stdin=source, stdout=sink, stderr=subprocess.PIPE, timeout=10)
+        assert done.returncode == 1
+        assert done.stderr.endswith(f"error: input file is output file: {name.format(target=target)}\n".encode())
+        assert target.read_bytes() == "Gazi Üniversitesi".encode()
+
+    def test_input_that_stdout_truncated_gives_empty_output(self, tmp_path: pathlib.Path):
+        # As `--in f.txt > f.txt`: the shell has emptied the input already.
+        target = tmp_path / "f.txt"
+        target.write_bytes("Gazi Üniversitesi".encode())
+        with open(target, "wb") as sink:
+            done = subprocess.run(
+                [*CMD, "encrypt", "--key", "paper", "--in", str(target)],
+                stdout=sink, stderr=subprocess.PIPE, timeout=10,
+            )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert target.read_bytes() == b""
+
     # One failing call per command. The encrypt call fails after its first
     # chunks are written; "{dir}" stands for the test's directory.
     ENCRYPT_BAD_UTF8 = ("encrypt", "--key", "paper", "--in", "{dir}/bad.txt")

@@ -21,7 +21,7 @@ from dgcipher.text_model import (
     render,
     substitution_table,
     tokenize,
-    translate_periodic,
+    translate_stream,
 )
 
 
@@ -145,13 +145,13 @@ class TestGrouping:
     TABLES = (substitution_table("A", "B"), substitution_table("A", "C"))
 
     def test_all_chars_alternates_on_raw_position(self):
-        assert translate_periodic("AA A", self.TABLES) == ("BC C", 0)
+        assert list(translate_stream(["AA A"], self.TABLES)) == ["BC C"]
 
     def test_letters_only_uses_letter_ordinal(self):
         # raw position 3 says even slot, letter ordinal 0 says odd slot
-        assert translate_periodic("!!!A A", self.TABLES, letters=LETTERS) == ("!!!B C", 0)
+        assert list(translate_stream(["!!!A A"], self.TABLES, LETTERS)) == ["!!!B C"]
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_alternation(self, i: int):
-        out, _ = translate_periodic("." * i + "AA", self.TABLES)
+        (out,) = translate_stream(["." * i + "AA"], self.TABLES)
         assert out[-2] != out[-1]
