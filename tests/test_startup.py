@@ -1,4 +1,5 @@
-"""Start-up guard: a CLI call imports only the modules its subcommand runs.
+"""Start-up guard: a CLI call imports only the modules its subcommand runs,
+and its process ends without the collector's final sweep.
 
 Each case runs the CLI in a child interpreter and compares the modules it
 ends with against those of a bare `python -c pass`, so only what the call
@@ -7,6 +8,8 @@ itself added counts.
 
 from __future__ import annotations
 
+import ast
+import gc
 import os
 import pathlib
 import subprocess
@@ -15,6 +18,7 @@ import sys
 import pytest
 
 import dgcipher
+import dgcipher.cli
 from dgcipher import (
     ALPHABET,
     CascadeKeySet,
@@ -36,16 +40,26 @@ from dgcipher import (
 from dgcipher.text_model import LetterUnit, Passthrough
 
 _MODULES = "import sys; sys.stdout.write(' '.join(sys.modules))"
-_CLI_THEN_MODULES = (
+# Runs the CLI as `python -m dgcipher.cli` does; each use below adds what
+# to do once the CLI has exited.
+_RUN_CLI = (
     "import runpy, sys\n"
     "sys.argv = ['dgcipher', *sys.argv[1:]]\n"
     "try:\n"
     "    runpy.run_module('dgcipher.cli', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as done:\n"
-    "    if done.code:\n"
-    "        raise\n"
-    f"{_MODULES}\n"
 )
+_CLI_THEN_MODULES = _RUN_CLI + "    if done.code:\n        raise\n" + f"{_MODULES}\n"
+# Reports, on stderr's last line, the exit code and the frozen object count.
+_CLI_THEN_FREEZE_COUNT = (
+    "import gc\n" + _RUN_CLI + "    print(done.code, gc.get_freeze_count(), file=sys.stderr)\n"
+)
+# Sweeps what the freeze left and exits with the CLI's code: a file that
+# only the sweep would close warns here.
+_CLI_THEN_SWEEP = (
+    "import gc\n" + _RUN_CLI + "    code = done.code\n" "gc.unfreeze()\n" "gc.collect()\n" "sys.exit(code)\n"
+)
+_SWEEP_CHILD = (sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _CLI_THEN_SWEEP)
 # Children may run in another directory, so the package path must be absolute.
 _ENV = {
     **os.environ,
@@ -101,6 +115,9 @@ def workdir(tmp_path_factory: pytest.TempPathFactory, corpus_text: str) -> pathl
     (root / "msg.txt").write_text("Gazi Üniversitesi, Ankara.\n", encoding="utf-8")
     (root / "corpus.txt").write_text(corpus_text, encoding="utf-8")
     (root / "key.txt").write_text(serialize_keyset(generate_keyset(7)), encoding="utf-8")
+    # Valid UTF-8 for more than one 64 KiB chunk, then a bad byte: a call
+    # writing stdout has written output when the error comes.
+    (root / "bad.txt").write_bytes(b"Gazi " * 20_000 + b"\xff")
     return root
 
 
@@ -182,6 +199,91 @@ def test_classical_and_analysis_calls_import_no_typing(
     added = _modules(_CLI_THEN_MODULES, *argv.split(), cwd=workdir, flags=("-S",)) - bare_no_site
     assert module in added
     assert "typing" not in added
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("keygen --seed 7 --out out.txt", 0),
+        ("encrypt --key paper --no-such-flag", 1),
+        ("--help", 0),
+        ("classical vigenere --help", 0),
+        ("encrypt --key paper --in bad.txt", 2),
+    ],
+    ids=["success", "usage-error", "help", "subcommand-help", "data-error"],
+)
+def test_every_exit_of_the_process_freezes_the_heap(workdir, argv: str, code: int):
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI_THEN_FREEZE_COUNT, *argv.split()],
+        capture_output=True, text=True, cwd=workdir, env=_ENV,
+    )
+    exit_code, frozen = done.stderr.splitlines()[-1].split()
+    assert int(exit_code) == code
+    assert int(frozen) > 0
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path: pathlib.Path):
+    state = gc.isenabled(), gc.get_freeze_count()
+    assert dgcipher.cli.main(["keygen", "--seed", "7", "--out", str(tmp_path / "k.keys")]) == 0
+    with pytest.raises(SystemExit):
+        dgcipher.cli.main(["encrypt", "--no-such-flag"])
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+def test_console_script_and_python_m_run_one_entry():
+    # Python 3.10 has no tomllib, so the script line is read as text.
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]")[1].split("[")[0]
+    assert scripts.strip() == 'dgcipher = "dgcipher.cli:_entry"'
+    module = ast.parse(pathlib.Path(dgcipher.cli.__file__).read_text(encoding="utf-8"))
+    (run_as_main,) = [
+        node.body
+        for node in module.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(statement) for statement in run_as_main] == ["_entry()"]
+    assert callable(dgcipher.cli._entry)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("encrypt --key key.txt --in msg.txt", 0),
+        ("decrypt --key paper --index-mode letters-only --in msg.txt --out out.txt", 0),
+        ("keycheck --key key.txt", 0),
+        ("keygen --seed 7 --otp-length 9 --out out.txt", 0),
+        ("classical vigenere --key anahtar --in msg.txt", 0),
+        ("classical playfair --keyword kalem --in msg.txt --out out.txt", 0),
+        ("classical vernam --key K --in msg.txt", 2),
+        ("analyze --in msg.txt", 0),
+        ("crack --reference corpus.txt --in msg.txt", 0),
+        ("crack --reference no_such.txt --in msg.txt", 2),
+        ("flatness --key paper --reference corpus.txt --in corpus.txt", 0),
+        ("encrypt --key paper --in bad.txt", 2),
+        ("encrypt --key paper --in bad.txt --out out.txt", 2),
+        ("--help", 0),
+        ("encrypt --key paper --no-such-flag", 1),
+    ],
+)
+def test_no_file_waits_for_the_final_sweep(workdir, argv: str, code: int):
+    done = subprocess.run(
+        [*_SWEEP_CHILD, *argv.split()],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, cwd=workdir, env=_ENV,
+    )
+    assert done.returncode == code
+    assert b"ResourceWarning" not in done.stderr
+
+
+def test_no_file_waits_for_the_final_sweep_after_the_reader_goes(workdir, corpus_text: str):
+    (workdir / "long.txt").write_text(corpus_text * 60, encoding="utf-8")
+    argv = [*_SWEEP_CHILD, "encrypt", "--key", "paper", "--in", "long.txt"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=workdir, env=_ENV
+    ) as call:
+        assert len(call.stdout.read(10)) == 10
+        call.stdout.close()
+        assert call.wait(timeout=30) == 141
+        assert b"ResourceWarning" not in call.stderr.read()
 
 
 def test_importing_the_package_loads_no_submodule(bare):
