@@ -59,10 +59,11 @@ def _decode_chunks(stream: BinaryIO, name: str) -> Iterator[str]:
 
 
 def _std_fd(stream: TextIO | None) -> int:
-    # Python sets a stream closed at start-up to None; its number may be reused.
-    if stream is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    return stream.fileno()
+    # None (closed at start-up; its number may be reused), closed, or with no descriptor (StringIO).
+    try:
+        return stream.fileno()
+    except (AttributeError, ValueError):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF)) from None
 
 
 def _input_chunks(path: str | None) -> Iterator[str]:

@@ -9,6 +9,8 @@ from hypothesis import settings
 from dgcipher import build_reference_table, example_keyset
 
 settings.register_profile("suite", deadline=None)
+# A deeper run of the same properties: pytest --hypothesis-profile=thorough.
+settings.register_profile("thorough", settings.get_profile("suite"), max_examples=1000)
 settings.load_profile("suite")
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import random
 import re
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -49,6 +51,7 @@ from dgcipher import (
     vigenere_decrypt,
     vigenere_encrypt,
 )
+from dgcipher import text_model
 from dgcipher.classical import atbash_stream, shift_stream, vigenere_stream
 from dgcipher.text_model import canonical_letters
 
@@ -215,22 +218,64 @@ class TestPerLetterEquivalence:
         check_vigenere(message, alphabet, shifts)
 
 
+# Keys of letters that both alphabets take, periods one to twelve.
+shared_keys = st.text(
+    st.sampled_from("ABCDEFGHIJKLMNOPRSTUVYZabcdefghjklmnoprstuvyz"), min_size=1, max_size=12
+)
+
+
 class TestStreams:
-    @given(tricky_texts, st.lists(st.integers(min_value=0, max_value=40), max_size=4))
-    @example("a%b" + TRICKY + "Gazi", [1, 2, 3])
+    @given(tricky_texts, st.lists(st.integers(min_value=0, max_value=40), max_size=4), shared_keys)
+    @example("a%b" + TRICKY + "Gazi", [1, 2, 3], "Kalem")
     # An empty chunk and a chunk with no letters carry the phase unchanged.
-    @example("Ab!?  C%d", [2, 2, 6])
-    @example("Ğ🙂..ş İı", [0, 1, 4, 4])
-    def test_any_split_equals_the_whole_text(self, message: str, cuts: list[int]):
+    @example("Ab!?  C%d", [2, 2, 6], "Kalem")
+    @example("Ğ🙂..ş İı", [0, 1, 4, 4], "Kalem")
+    # Every chunk starts and ends with passthrough, at periods one and two.
+    @example("!Abc? .dE, ?Ğ!", [5, 6, 11], "K")
+    @example("!Abc? .dE, ?Ğ!", [5, 6, 11], "Ka")
+    def test_any_split_equals_the_whole_text(self, message: str, cuts: list[int], key: str):
         pieces = [message[a:b] for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), len(message)])]
         for decrypt in (False, True):
             shift_op = shift_decrypt if decrypt else shift_encrypt
             assert "".join(shift_stream(pieces, 5, decrypt=decrypt)) == shift_op(message, 5)
             for alphabet in Alphabet:
                 op = vigenere_decrypt if decrypt else vigenere_encrypt
-                streamed = vigenere_stream(pieces, "Kalem", alphabet, decrypt=decrypt)
-                assert "".join(streamed) == op(message, "Kalem", alphabet)
+                streamed = vigenere_stream(pieces, key, alphabet, decrypt=decrypt)
+                assert "".join(streamed) == op(message, key, alphabet)
         assert "".join(atbash_stream(pieces)) == atbash(message)
+
+    def test_chunks_may_alternate_between_template_and_widening(self, monkeypatch: pytest.MonkeyPatch):
+        # With a 10-letter key, a chunk of mostly passthrough takes the "%c"
+        # template and a chunk of mostly letters is widened.
+        taken = []
+        for name in ("_scattered", "_widened"):
+            kernel = getattr(text_model, name)
+            monkeypatch.setattr(
+                text_model, name, lambda *args, name=name, kernel=kernel: taken.append(name) or kernel(*args)
+            )
+        key = "KALEMİŞÇĞÖ"
+        pieces = ["1, 2! Şu? 3; " * 5 + "%", "Gazi Üniversitesi Teknoloji" * 3, "?? 4: ç ...", "Mikroişlemci"]
+        message = "".join(pieces)
+        for sign, op in ((+1, vigenere_encrypt), (-1, vigenere_decrypt)):
+            taken.clear()
+            streamed = "".join(vigenere_stream(pieces, key, Alphabet.TURKISH29, decrypt=sign < 0))
+            assert taken == ["_scattered", "_widened", "_scattered", "_widened"]
+            assert streamed == per_letter(message, lambda i, j: (j + sign * ALPHABET.index(key[i % 10])) % 29)
+            assert streamed == op(message, key, Alphabet.TURKISH29)
+
+    def test_a_long_key_is_not_widened(self, corpus_text: str):
+        # Widening a 64 KiB chunk of text for a 5,000-letter key would take
+        # about 50 MB; the template keeps the peak near the chunk's size.
+        chunk = (corpus_text * (1 + (1 << 16) // len(corpus_text)))[: 1 << 16]
+        key = "".join(random.Random(5000).choices(ALPHABET, k=5000))
+        tracemalloc.start()
+        try:
+            (out,) = vigenere_stream([chunk], key, Alphabet.TURKISH29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert out == per_letter(chunk, lambda i, j: (j + ALPHABET.index(key[i % 5000])) % 29)
 
     def test_arguments_are_checked_before_any_chunk_is_read(self):
         def chunks():

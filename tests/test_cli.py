@@ -24,7 +24,7 @@ from dgcipher import (
     vigenere_decrypt,
     vigenere_encrypt,
 )
-from dgcipher.cli import build_parser
+from dgcipher.cli import build_parser, main
 from dgcipher.text_model import canonical_letters
 
 CMD = [sys.executable, "-m", "dgcipher.cli"]
@@ -359,6 +359,40 @@ class TestFileSafety:
         code, _, err = run("decrypt", "--key", "paper", stdin=text.encode()[:-11])
         assert code == 2
         assert b"invalid UTF-8 in <stdin> at byte 65535" in err
+
+
+def stream_without_descriptor(text: str, closed: bool) -> io.StringIO:
+    stream = io.StringIO(text)
+    if closed:
+        stream.close()
+    return stream
+
+
+class TestStandardStreamWithoutDescriptor:
+    """cli.main called in-process while stdout or stdin has no file
+    descriptor (an io.StringIO, as capsys or a notebook sets), open or
+    closed, fails as a data error naming a bad descriptor, as a stream
+    closed at start-up does."""
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_stdout(self, closed: bool):
+        out, err = stream_without_descriptor("", closed), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["keygen", "--seed", "1"])
+        assert code == 2
+        assert closed or out.getvalue() == ""
+        assert err.getvalue() == "error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_stdin(self, tmp_path: pathlib.Path, monkeypatch: pytest.MonkeyPatch, closed: bool):
+        target = tmp_path / "f.txt"
+        monkeypatch.setattr(sys, "stdin", stream_without_descriptor("Gazi", closed))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["encrypt", "--key", "paper", "--out", str(target)])
+        assert code == 2
+        assert err.getvalue() == "error: [Errno 9] Bad file descriptor: '<stdin>'\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestKeygen:
