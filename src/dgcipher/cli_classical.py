@@ -1,65 +1,101 @@
-"""The classical command: one subcommand per classical cipher. A call
-loads `classical` for shift, atbash, vigenere and vernam, and `grids` for
-the grid and transposition ciphers."""
-
-from __future__ import annotations
-
-import argparse
+"""The classical command: one record per cipher in _CIPHERS, holding its help,
+its function and its flags. A function takes the parsed args, the input chunks
+and the parser; it loads only its cipher's module and checks flags and key first."""
 
 from .cli_io import _add_io_flags, _input_chunks
 from .text_model import Alphabet
 
-_CIPHERS = ("shift", "atbash", "vigenere", "playfair", "polybius", "railfence", "scytale", "vernam")
+
+def _whole_text(args, encrypt, decrypt, key, chunks, end: str = "") -> list[str]:
+    op = decrypt if args.decrypt else encrypt
+    op("", key)  # a bad key fails here, before the input is read
+    result = op("".join(chunks), key)
+    return [result + end if result else ""]
 
 
-def _polybius_spec(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    from .grids import PolybiusSpec, canonical_grid
+def _shift(args, chunks, _parser):
+    from .classical import shift_stream
+    return shift_stream(chunks, args.k, decrypt=args.decrypt)
 
-    given = (args.grid, args.rows, args.cols)
-    if all(v is None for v in given):
-        return canonical_grid()
-    if any(v is None for v in given):
+
+def _atbash(_args, chunks, _parser):
+    from .classical import atbash_stream
+    return atbash_stream(chunks)
+
+
+def _vigenere(args, chunks, _parser):
+    from .classical import vigenere_stream
+    return vigenere_stream(chunks, args.key, Alphabet(args.alphabet), decrypt=args.decrypt)
+
+
+# playfair, railfence and scytale keep only the letters, so they add back a newline.
+def _playfair(args, chunks, _parser):
+    from .grids import PlayfairSpec, playfair_decrypt, playfair_encrypt
+    spec = PlayfairSpec(args.keyword, args.padding)
+    return _whole_text(args, playfair_encrypt, playfair_decrypt, spec, chunks, "\n")
+
+
+def _polybius(args, chunks, parser):
+    from .grids import PolybiusSpec, polybius_decode, polybius_encode
+    if (args.grid, args.rows, args.cols).count(None) in (1, 2):
         parser.error("--grid, --rows and --cols must be given together")
-    return PolybiusSpec(rows=args.rows, cols=args.cols, grid=args.grid)
+    spec = None if args.grid is None else PolybiusSpec(args.rows, args.cols, args.grid)
+    return _whole_text(args, polybius_encode, polybius_decode, spec, chunks)
 
 
-def _cmd_classical(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    chunks = _input_chunks(args.infile)
-    decrypt = args.decrypt
-    cipher = args.cipher
-    # The substitution ciphers stream their input chunk by chunk.
-    if cipher in ("shift", "atbash", "vigenere"):
-        from .classical import atbash_stream, shift_stream, vigenere_stream
+def _railfence(args, chunks, _parser):
+    from .grids import rail_fence_decrypt, rail_fence_encrypt
+    return _whole_text(args, rail_fence_encrypt, rail_fence_decrypt, args.rails, chunks, "\n")
 
-        if cipher == "shift":
-            return shift_stream(chunks, args.k, decrypt=decrypt)
-        if cipher == "atbash":
-            return atbash_stream(chunks)
-        return vigenere_stream(chunks, args.key, Alphabet(args.alphabet), decrypt=decrypt)
-    text = "".join(chunks)
-    # Letters-only ciphers drop the input's own newline, so add one back.
-    trailing = "" if cipher in ("polybius", "vernam") else "\n"
-    if cipher == "vernam":
-        from .classical import vernam_decrypt, vernam_encrypt
 
-        key = "".join(_input_chunks(args.key_file)) if args.key_file is not None else args.key
-        result = (vernam_decrypt if decrypt else vernam_encrypt)(text, key)
-    else:
-        from . import grids
+def _scytale(args, chunks, _parser):
+    from .grids import scytale_decrypt, scytale_encrypt
+    return _whole_text(args, scytale_encrypt, scytale_decrypt, args.circumference, chunks, "\n")
 
-        if cipher == "playfair":
-            spec = grids.PlayfairSpec(keyword=args.keyword, padding=args.padding)
-            result = (grids.playfair_decrypt if decrypt else grids.playfair_encrypt)(text, spec)
-        elif cipher == "polybius":
-            spec = _polybius_spec(args, parser)
-            result = (grids.polybius_decode if decrypt else grids.polybius_encode)(text, spec)
-        elif cipher == "railfence":
-            op = grids.rail_fence_decrypt if decrypt else grids.rail_fence_encrypt
-            result = op(text, args.rails)
-        else:  # scytale
-            op = grids.scytale_decrypt if decrypt else grids.scytale_encrypt
-            result = op(text, args.circumference)
-    return [result + (trailing if result else "")]
+
+def _vernam(args, chunks, _parser):
+    from .classical import vernam_decrypt, vernam_encrypt
+    key = args.key if args.key_file is None else "".join(_input_chunks(args.key_file))
+    return _whole_text(args, vernam_encrypt, vernam_decrypt, key, chunks)
+
+
+# A flag maps to its add_argument keywords; exactly one flag under _ONE_OF is given.
+_ONE_OF = "one of"
+_CIPHERS = {
+    "shift": ("rotate letters by a fixed amount", _shift, {
+        "--k": dict(required=True, type=int, help="shift amount, 0..28"),
+    }),
+    "atbash": ("mirror letters across the alphabet (self-inverse)", _atbash, {}),
+    "vigenere": ("running-key letter shifts", _vigenere, {
+        "--key": dict(required=True, help="key letters"),
+        "--alphabet": dict(
+            choices=[a.value for a in Alphabet], default=Alphabet.ENGLISH26.value, help="working alphabet"
+        ),
+    }),
+    "playfair": ("5x5 digram cipher", _playfair, {
+        "--keyword": dict(required=True, help="table keyword"),
+        "--padding": dict(default="M", help="padding letter (default M)"),
+    }),
+    "polybius": ("coordinate grid code", _polybius, {
+        "--grid": dict(help="row-major grid letters (default: full alphabet)"),
+        "--rows": dict(type=int, help="grid rows"),
+        "--cols": dict(type=int, help="grid columns"),
+    }),
+    "railfence": ("zigzag transposition", _railfence, {
+        "--rails": dict(required=True, type=int, help="rail count"),
+    }),
+    "scytale": ("rod transposition", _scytale, {
+        "--circumference": dict(required=True, type=int, help="rod circumference"),
+    }),
+    "vernam": ("one-time running key, modular addition", _vernam, {_ONE_OF: {
+        "--key": dict(help="key letters"),
+        "--key-file": dict(metavar="PATH", help="file holding the key letters"),
+    }}),
+}
+
+
+def _cmd_classical(args, parser):
+    return _CIPHERS[args.cipher][1](args, _input_chunks(args.infile), parser)
 
 
 def add_commands(commands, names, argv) -> None:
@@ -67,53 +103,16 @@ def add_commands(commands, names, argv) -> None:
     ciphers: only the one argv's first token names, if it names one."""
     classical = commands.add_parser("classical", help="run one of the classical ciphers")
     ciphers = classical.add_subparsers(dest="cipher", required=True, metavar="CIPHER")
-    built = argv[:1] if argv and argv[0] in _CIPHERS else _CIPHERS
-
-    def cipher_parser(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name in argv[:1] if argv and argv[0] in _CIPHERS else _CIPHERS:
+        help_text, _, flags = _CIPHERS[name]
         sub = ciphers.add_parser(name, help=help_text)
         sub.add_argument("--decrypt", action="store_true", help="invert the cipher")
         _add_io_flags(sub)
         sub.set_defaults(handler=_cmd_classical)
-        return sub
-
-    if "shift" in built:
-        shift = cipher_parser("shift", "rotate letters by a fixed amount")
-        shift.add_argument("--k", required=True, type=int, help="shift amount, 0..28")
-
-    if "atbash" in built:
-        cipher_parser("atbash", "mirror letters across the alphabet (self-inverse)")
-
-    if "vigenere" in built:
-        vigenere = cipher_parser("vigenere", "running-key letter shifts")
-        vigenere.add_argument("--key", required=True, help="key letters")
-        vigenere.add_argument(
-            "--alphabet",
-            choices=[a.value for a in Alphabet],
-            default=Alphabet.ENGLISH26.value,
-            help="working alphabet",
-        )
-
-    if "playfair" in built:
-        playfair = cipher_parser("playfair", "5x5 digram cipher")
-        playfair.add_argument("--keyword", required=True, help="table keyword")
-        playfair.add_argument("--padding", default="M", help="padding letter (default M)")
-
-    if "polybius" in built:
-        polybius = cipher_parser("polybius", "coordinate grid code")
-        polybius.add_argument("--grid", help="row-major grid letters (default: full alphabet)")
-        polybius.add_argument("--rows", type=int, help="grid rows")
-        polybius.add_argument("--cols", type=int, help="grid columns")
-
-    if "railfence" in built:
-        railfence = cipher_parser("railfence", "zigzag transposition")
-        railfence.add_argument("--rails", required=True, type=int, help="rail count")
-
-    if "scytale" in built:
-        scytale = cipher_parser("scytale", "rod transposition")
-        scytale.add_argument("--circumference", required=True, type=int, help="rod circumference")
-
-    if "vernam" in built:
-        vernam = cipher_parser("vernam", "one-time running key, modular addition")
-        vernam_key = vernam.add_mutually_exclusive_group(required=True)
-        vernam_key.add_argument("--key", help="key letters")
-        vernam_key.add_argument("--key-file", metavar="PATH", help="file holding the key letters")
+        for flag, keywords in flags.items():
+            if flag == _ONE_OF:
+                group = sub.add_mutually_exclusive_group(required=True)
+                for one, one_keywords in keywords.items():
+                    group.add_argument(one, **one_keywords)
+            else:
+                sub.add_argument(flag, **keywords)
