@@ -66,31 +66,31 @@ def atbash(message: str) -> str:
 
 # --- vigenere (running key) ---
 
-def _key_letters(key: str, alphabet: Alphabet) -> str:
-    """Canonicalize a key: whitespace is ignored, anything else must be a letter.
+def _checked_key(key: str, alphabet: Alphabet) -> str:
+    """A key's characters with whitespace dropped; each must be a letter.
 
     Membership is strict: english26 takes ASCII letters only, so Turkish
     dotless/dotted i never fold into ASCII I, and turkish29 takes exactly
     the 29 canonical letters and their lowercase forms.
     """
     kept = "".join(key.split())
-    turkish = alphabet is Alphabet.TURKISH29
-    outside = kept.lstrip(LETTERS if turkish else _ASCII_LETTERS)
+    outside = kept.lstrip(LETTERS if alphabet is Alphabet.TURKISH29 else _ASCII_LETTERS)
     if outside:
         raise KeyLetterOutsideAlphabet(f"key character {outside[0]!r} is outside the alphabet")
-    if not kept:
-        raise EmptyKey("key contains no letters")
-    return canonical_letters(kept) if turkish else kept.upper()
+    return kept
 
 
 def _running_key(
     chunks: Iterable[str], key_letters: str, alphabet: Alphabet, sign: int
 ) -> Iterator[str]:
+    """Run checked key letters over chunks; the letters are folded to uppercase here."""
+    if not key_letters:
+        raise EmptyKey("key contains no letters")
     if alphabet is Alphabet.ENGLISH26:
-        letters, lower, counted = _ASCII_UPPER, str.lower, _ASCII_LETTERS
+        letters, lower, counted, upper = _ASCII_UPPER, str.lower, _ASCII_LETTERS, str.upper
     else:
-        letters, lower, counted = ALPHABET, to_lower_tr, LETTERS
-    row, key = letters.encode(_LATIN5), key_letters.encode(_LATIN5)
+        letters, lower, counted, upper = ALPHABET, to_lower_tr, LETTERS, canonical_letters
+    row, key = letters.encode(_LATIN5), upper(key_letters).encode(_LATIN5)
     # One table per letter the key holds, by its Latin-5 byte: bytes, unlike
     # a str, are searched and iterated without making 1-character strings.
     tables = {}
@@ -106,7 +106,7 @@ def vigenere_stream(
     chunks: Iterable[str], key: str, alphabet: Alphabet = Alphabet.ENGLISH26, *, decrypt: bool = False
 ) -> Iterator[str]:
     """vigenere_encrypt (or, with decrypt, vigenere_decrypt) over chunks of one text."""
-    return _running_key(chunks, _key_letters(key, alphabet), alphabet, -1 if decrypt else 1)
+    return _running_key(chunks, _checked_key(key, alphabet), alphabet, -1 if decrypt else 1)
 
 
 def vigenere_encrypt(message: str, key: str, alphabet: Alphabet = Alphabet.ENGLISH26) -> str:
@@ -126,17 +126,15 @@ def vigenere_decrypt(message: str, key: str, alphabet: Alphabet = Alphabet.ENGLI
 # --- vernam (one-time running key) ---
 
 def _vernam(message: str, key: str, sign: int) -> str:
-    try:
-        key_letters = _key_letters(key, Alphabet.TURKISH29)
-    except EmptyKey:
-        key_letters = ""
+    letters = _checked_key(key, Alphabet.TURKISH29)
     needed = len(canonical_letters(message))
-    if needed > len(key_letters):
-        raise KeyTooShort(f"message has {needed} letters, key has {len(key_letters)}")
+    if needed > len(letters):
+        raise KeyTooShort(f"message has {needed} letters, key has {len(letters)}")
     if not needed:
         return message
-    # A running key as long as the message is a Vigenère key that never repeats.
-    return "".join(_running_key([message], key_letters[:needed], Alphabet.TURKISH29, sign))
+    # A running key as long as the message is a Vigenère key that never repeats;
+    # only the part of the key it uses is folded.
+    return "".join(_running_key([message], letters[:needed], Alphabet.TURKISH29, sign))
 
 
 def vernam_encrypt(message: str, key: str) -> str:

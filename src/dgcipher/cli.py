@@ -7,8 +7,11 @@ that is the non-empty regular file stdout writes to, two of --key,
 (unreadable input, output that cannot be written, invalid UTF-8,
 malformed keys or ciphertext). '-' reads stdin for every input flag.
 Transformed payload goes to stdout or the --out file only; warnings and
-verbose notes go to stderr. Each command's handler takes (args, parser)
-and returns its output as an iterable of strings, which main writes. An
+verbose notes go to stderr. Each command is a (help, handler, flags)
+record in its family module's _COMMANDS table, which cli_io._add_commands
+turns into a subparser; a command is added as one record there and a flag
+as one entry of its flags. Each handler takes (args, parser) and returns
+its output as an iterable of strings, which main writes. An
 --out file is replaced only when the command succeeds; after a failure it
 is as it was. An --out naming the file stdout is open on, as /dev/stdout
 does, is written as stdout. A write error, a stdout that cannot take the
@@ -35,7 +38,7 @@ import gc
 import sys
 from importlib import import_module
 
-from .cli_io import _BadInput, _check_inputs, _write_output
+from .cli_io import _BadInput, _add_commands, _check_inputs, _chosen, _write_output
 from .errors import CipherError
 
 # Annotation-only names; `typing` is not imported at run time.
@@ -43,15 +46,14 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
-# Each command family's module and commands, in the help's order. A call
-# compiles its family's module, and its handler imports what it runs. No
-# module imports this one: under `python -m` it would load a second time.
-_FAMILIES = (
-    ("cli_cascade", ("encrypt", "decrypt", "keygen", "keycheck")),
-    ("cli_classical", ("classical",)),
-    ("cli_analysis", ("analyze", "crack", "flatness")),
-)
-_COMMANDS = tuple(name for _, names in _FAMILIES for name in names)
+# Each command's family module, in the help's order. A call compiles its
+# family's module, and its handler imports what it runs. No module imports
+# this one: under `python -m` it would load a second time.
+_FAMILIES = {
+    **dict.fromkeys(("encrypt", "decrypt", "keygen", "keycheck"), "cli_cascade"),
+    "classical": "cli_classical",
+    **dict.fromkeys(("analyze", "crack", "flatness"), "cli_analysis"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,17 +69,15 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
     """Build the dgcipher argument parser.
 
     With argv, only the parts that parsing argv consults are built: the
-    subparser of the command its first token names and, for classical,
-    of the cipher its second token names. Parsing argv, and any help or
-    error it prints, is the same as with the full parser.
+    family module and subparser of the command its first token names and,
+    for classical, of the cipher its second token names (cli_io._chosen).
+    Parsing argv, and any help or error it prints, is the same as with the
+    full parser.
     """
     parser = _Parser(prog="dgcipher", description="Dual-group cascade cipher toolkit.")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    chosen = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for module, names in _FAMILIES:
-        built = [name for name in names if name in chosen]
-        if built:
-            import_module(f".{module}", __package__).add_commands(commands, built, argv[1:])
+    for module in dict.fromkeys(_FAMILIES[name] for name in _chosen(_FAMILIES, argv)):
+        _add_commands(commands, import_module(f".{module}", __package__)._COMMANDS, argv)
     return parser
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cli_io import _add_index_mode, _add_io_flags, _input_chunks, _nonnegative, _resolve_keyset
+from .cli_io import _INDEX_MODE, _IO, _REFERENCE, _input_chunks, _nonnegative, _resolve_keyset
 from .errors import EmptyText
 from .text_model import ALPHABET, IndexMode, phase_counts
 
@@ -52,38 +52,28 @@ def _cmd_flatness(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     return [report.render_records() if args.format == "records" else report.render_text()]
 
 
-def add_commands(commands, names, argv) -> None:
-    """Add the subparsers of the commands in names, in the help's order."""
-    if "analyze" in names:
-        analyze = commands.add_parser("analyze", help="letter frequency table of the input")
-        analyze.add_argument(
-            "--format", choices=["text", "records"], default="text",
-            help="human table or tab-separated records",
-        )
-        _add_io_flags(analyze)
-        analyze.set_defaults(handler=_cmd_analyze)
-
-    if "crack" in names:
-        crack = commands.add_parser("crack", help="recover a shift cipher's shift amount")
-        crack.add_argument("--reference", required=True, metavar="PATH", help="reference corpus file")
-        crack.add_argument(
-            "--min-letters", type=_nonnegative, default=100,
-            help="letters needed for a confident answer (default 100)",
-        )
-        crack.add_argument("--verbose", action="store_true", help="print all 29 distances to stderr")
-        _add_io_flags(crack)
-        crack.set_defaults(handler=_cmd_crack)
-
-    if "flatness" in names:
-        flatness = commands.add_parser(
-            "flatness", help="compare shift and cascade ciphertext letter profiles"
-        )
-        flatness.add_argument("--key", required=True, help="key file path, or 'paper'")
-        flatness.add_argument("--reference", required=True, metavar="PATH", help="reference corpus file")
-        flatness.add_argument(
-            "--format", choices=["text", "records"], default="text",
-            help="human report or tab-separated records",
-        )
-        _add_index_mode(flatness)
-        _add_io_flags(flatness)
-        flatness.set_defaults(handler=_cmd_flatness)
+_COMMANDS = {
+    "analyze": ("letter frequency table of the input", _cmd_analyze, {
+        "--format": dict(
+            choices=["text", "records"], default="text", help="human table or tab-separated records"
+        ),
+        **_IO,
+    }),
+    "crack": ("recover a shift cipher's shift amount", _cmd_crack, {
+        **_REFERENCE,
+        "--min-letters": dict(
+            type=_nonnegative, default=100, help="letters needed for a confident answer (default 100)"
+        ),
+        "--verbose": dict(action="store_true", help="print all 29 distances to stderr"),
+        **_IO,
+    }),
+    "flatness": ("compare shift and cascade ciphertext letter profiles", _cmd_flatness, {
+        "--key": dict(required=True, help="key file path, or 'paper'"),
+        **_REFERENCE,
+        "--format": dict(
+            choices=["text", "records"], default="text", help="human report or tab-separated records"
+        ),
+        **_INDEX_MODE,
+        **_IO,
+    }),
+}

@@ -5,15 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cli_io import (
-    _PAPER_KEY_NAME,
-    _add_index_mode,
-    _add_io_flags,
-    _add_out_flag,
-    _input_chunks,
-    _nonnegative,
-    _resolve_keyset,
-)
+from .cli_io import _INDEX_MODE, _IO, _OUT, _input_chunks, _nonnegative, _resolve_keyset
 from .text_model import ALPHABET, IndexMode
 
 
@@ -56,36 +48,23 @@ def _cmd_keycheck(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     return ["\n".join(lines) + "\n"]
 
 
-def add_commands(commands, names, argv) -> None:
-    """Add the subparsers of the commands in names, in the help's order."""
-    for name in ("encrypt", "decrypt"):
-        if name not in names:
-            continue
-        sub = commands.add_parser(name, help=f"{name} text with a cascade keyset")
-        sub.add_argument(
-            "--key",
-            required=True,
-            help=f"key file path, or {_PAPER_KEY_NAME!r} for the built-in example keyset",
-        )
-        _add_index_mode(sub)
-        _add_io_flags(sub)
-        sub.add_argument("--verbose", action="store_true", help="echo settings to stderr")
-        sub.set_defaults(handler=_cmd_cascade)
-
-    if "keygen" in names:
-        keygen = commands.add_parser("keygen", help="generate a key file from a seed")
-        keygen.add_argument("--seed", required=True, type=_seed_value, help="64-bit unsigned seed")
-        keygen.add_argument(
-            "--otp-length",
-            type=_nonnegative,
-            metavar="N",
+_COMMANDS = {
+    **{name: (f"{name} text with a cascade keyset", _cmd_cascade, {
+        "--key": dict(required=True, help="key file path, or 'paper' for the built-in example keyset"),
+        **_INDEX_MODE,
+        **_IO,
+        "--verbose": dict(action="store_true", help="echo settings to stderr"),
+    }) for name in ("encrypt", "decrypt")},
+    "keygen": ("generate a key file from a seed", _cmd_keygen, {
+        "--seed": dict(required=True, type=_seed_value, help="64-bit unsigned seed"),
+        "--otp-length": dict(
+            type=_nonnegative, metavar="N",
             help="emit a one-time letter key of length N instead of a keyset",
-        )
-        _add_out_flag(keygen)
-        keygen.set_defaults(handler=_cmd_keygen)
-
-    if "keycheck" in names:
-        keycheck = commands.add_parser("keycheck", help="validate a key file")
-        keycheck.add_argument("--key", required=True, help="key file path, or 'paper'")
-        _add_out_flag(keycheck)
-        keycheck.set_defaults(handler=_cmd_keycheck)
+        ),
+        **_OUT,
+    }),
+    "keycheck": ("validate a key file", _cmd_keycheck, {
+        "--key": dict(required=True, help="key file path, or 'paper'"),
+        **_OUT,
+    }),
+}

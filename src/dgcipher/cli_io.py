@@ -1,5 +1,7 @@
 """What the CLI's command modules share: UTF-8 input and output, key-file
-resolution, and the flags and flag types more than one command takes."""
+resolution, the flags and flag types more than one command takes, and
+_add_commands, the one builder of the subparsers of a family's _COMMANDS
+table of (help, handler, flags) records."""
 
 from __future__ import annotations
 
@@ -23,6 +25,19 @@ _PAPER_KEY_NAME = "paper"
 # The flags naming a file that a command reads, in the order a usage error
 # names them. classical's --key holds key letters, not a path.
 _INPUT_FLAGS = {"key": "--key", "key_file": "--key-file", "reference": "--reference", "infile": "--in"}
+
+# The flags more than one command takes, as add_argument keywords by flag;
+# a record merges in the ones it takes, in the order its help lists them.
+_OUT = {"--out": dict(dest="outfile", metavar="PATH", help="output file (default: stdout)")}
+_IO = {"--in": dict(dest="infile", metavar="PATH", help="input file (default: stdin)"), **_OUT}
+_INDEX_MODE = {"--index-mode": dict(
+    choices=[m.value for m in IndexMode],
+    default=IndexMode.ALL_CHARS.value,
+    help="count positions over all characters or over letters only",
+)}
+_REFERENCE = {"--reference": dict(required=True, metavar="PATH", help="reference corpus file")}
+_DECRYPT = {"--decrypt": dict(action="store_true", help="invert the cipher")}
+_ONE_OF = "one of"
 
 
 class _BadInput(Exception):
@@ -180,19 +195,29 @@ def _resolve_keyset(name: str):
     return parse_keyset("".join(_input_chunks(name)))
 
 
-def _add_out_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", dest="outfile", metavar="PATH", help="output file (default: stdout)")
+def _chosen(table, argv):
+    """The names in table that parsing argv consults: the one argv's first
+    token names, or, as for --help or a typo, every one."""
+    return argv[:1] if argv and argv[0] in table else table
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--in", dest="infile", metavar="PATH", help="input file (default: stdin)")
-    _add_out_flag(parser)
-
-
-def _add_index_mode(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--index-mode",
-        choices=[m.value for m in IndexMode],
-        default=IndexMode.ALL_CHARS.value,
-        help="count positions over all characters or over letters only",
-    )
+def _add_commands(subparsers, table, argv) -> None:
+    """Add the subparser of each (help, handler, flags) record in table that
+    argv chooses, in the table's order. flags maps a flag to its add_argument
+    keywords; _ONE_OF to the flags of a group exactly one of which is given;
+    and a name with no dash, as classical's "cipher", to a table of its own,
+    whose records argv[1:] chooses."""
+    for name in _chosen(table, argv):
+        help_text, handler, flags = table[name]
+        sub = subparsers.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
+        for flag, keywords in flags.items():
+            if flag == _ONE_OF:
+                group = sub.add_mutually_exclusive_group(required=True)
+                for one, one_keywords in keywords.items():
+                    group.add_argument(one, **one_keywords)
+            elif not flag.startswith("-"):
+                below = sub.add_subparsers(dest=flag, required=True, metavar=flag.upper())
+                _add_commands(below, keywords, argv[1:])
+            else:
+                sub.add_argument(flag, **keywords)

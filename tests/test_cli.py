@@ -890,6 +890,11 @@ def parse(parser, argv: list[str]) -> tuple[object, str, str]:
     return result, out.getvalue(), err.getvalue()
 
 
+def subparsers(parser) -> dict:
+    """The subparsers a parser holds, by name, in the help's order."""
+    return parser._subparsers._group_actions[0].choices
+
+
 class TestParserForOneCommand:
     """build_parser(argv) builds only the subparsers argv names; parsing
     argv, help and errors must match the parser with every command."""
@@ -916,3 +921,21 @@ class TestParserForOneCommand:
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
     def test_same_as_the_full_parser(self, argv: list[str]):
         assert parse(build_parser(argv), argv) == parse(build_parser(), argv)
+
+    @pytest.mark.parametrize(
+        ("argv", "commands", "ciphers"),
+        [
+            (["encrypt", "--key", "paper"], ("encrypt",), None),
+            (["classical", "shift", "--k", "3"], ("classical",), ("shift",)),
+            (["--help"], COMMANDS, CIPHERS),
+            (["bogus"], COMMANDS, CIPHERS),
+            (["classical", "bogus"], ("classical",), CIPHERS),
+        ],
+        ids=["encrypt", "classical shift", "--help", "bogus", "classical bogus"],
+    )
+    def test_builds_only_the_subparsers_argv_names(
+        self, argv: list[str], commands: tuple[str, ...], ciphers: tuple[str, ...] | None
+    ):
+        built = subparsers(build_parser(argv))
+        assert tuple(built) == commands
+        assert (tuple(subparsers(built["classical"])) if "classical" in built else None) == ciphers
