@@ -12,15 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import EmptyText, ShiftOutOfRange, TooShort
-from .text_model import (
-    ALPHABET,
-    ALPHABET_SIZE,
-    LETTERS,
-    IndexMode,
-    phase_counts,
-    substitution_table,
-    translate_stream,
-)
+from .text_model import ALPHABET, ALPHABET_SIZE, LETTERS, IndexMode, phase_counts
 
 # Annotation-only names; `typing` is not imported at run time.
 TYPE_CHECKING = False
@@ -85,6 +77,7 @@ class SubstitutionGuess(namedtuple("SubstitutionGuess", "mapping")):
 
     def apply(self, text: str) -> str:
         """Rewrite a text through the guess, keeping passthrough and case."""
+        from .engine import substitution_table, translate_stream
         table = substitution_table("".join(self.mapping), "".join(self.mapping.values()))
         return "".join(translate_stream([text], (table,)))
 

@@ -12,7 +12,7 @@ composite permutation, which the keyset computes
 (CascadeKeySet.composite_rows) and composite_table() exposes. The whole
 cipher is therefore a period-two substitution: each composite row becomes
 a case-aware byte table (read backwards, from row to alphabet, to
-decrypt), and text_model.translate_stream sends the even zero-based
+decrypt), and engine.translate_stream sends the even zero-based
 positions (or letter ordinals) through the GROUP1 table and the odd ones
 through the GROUP2 table.
 
@@ -24,15 +24,9 @@ ciphertext letters.
 
 from __future__ import annotations
 
+from .engine import substitution_table, translate_stream
 from .keyset import CascadeKeySet, SubstitutionAlphabet
-from .text_model import (
-    ALPHABET,
-    LETTERS,
-    Group,
-    IndexMode,
-    substitution_table,
-    translate_stream,
-)
+from .text_model import ALPHABET, LETTERS, Group, IndexMode
 
 # Annotation-only names; `typing` is not imported at run time.
 TYPE_CHECKING = False

@@ -1,7 +1,8 @@
 """Classical substitution ciphers over the 29-letter Turkish alphabet.
 
 Shift, atbash, vigenere and vernam keep passthrough characters in place
-and preserve letter case. Shift, atbash and vigenere also come as
+and preserve letter case; all four are periodic substitutions run by
+`engine`, as the cascade is. Shift, atbash and vigenere also come as
 *_stream functions, which check their arguments at once and then
 transform a text delivered in chunks. The grid and transposition ciphers
 are in `grids`, so a substitution call does not load them. A one-time-pad
@@ -10,17 +11,10 @@ key for vernam is drawn from a seed with the cascade key material.
 
 from __future__ import annotations
 
+from .engine import substitution_table, translate_stream
 from .errors import EmptyKey, KeyLetterOutsideAlphabet, KeyTooShort, ShiftOutOfRange
 from .text_model import (
-    _LATIN5,
-    ALPHABET,
-    ALPHABET_SIZE,
-    LETTERS,
-    Alphabet,
-    canonical_letters,
-    substitution_table,
-    to_lower_tr,
-    translate_stream,
+    _LATIN5, ALPHABET, ALPHABET_SIZE, LETTERS, Alphabet, canonical_letters, to_lower_tr
 )
 
 # Annotation-only names; `typing` is not imported at run time.
@@ -66,31 +60,35 @@ def atbash(message: str) -> str:
 
 # --- vigenere (running key) ---
 
-def _checked_key(key: str, alphabet: Alphabet) -> str:
-    """A key's characters with whitespace dropped; each must be a letter.
+def _checked_key(key: str, alphabet: Alphabet) -> bytes:
+    """The Latin-5 bytes of a key with whitespace dropped; each must be a letter.
 
     Membership is strict: english26 takes ASCII letters only, so Turkish
     dotless/dotted i never fold into ASCII I, and turkish29 takes exactly
     the 29 canonical letters and their lowercase forms.
     """
     kept = "".join(key.split())
-    outside = kept.lstrip(LETTERS if alphabet is Alphabet.TURKISH29 else _ASCII_LETTERS)
-    if outside:
-        raise KeyLetterOutsideAlphabet(f"key character {outside[0]!r} is outside the alphabet")
-    return kept
+    allowed = LETTERS if alphabet is Alphabet.TURKISH29 else _ASCII_LETTERS
+    # A character Latin-5 lacks encodes as "?", which is no letter.
+    data = kept.encode(_LATIN5, "replace")
+    if data.translate(None, allowed.encode(_LATIN5)):
+        outside = kept.lstrip(allowed)[0]
+        raise KeyLetterOutsideAlphabet(f"key character {outside!r} is outside the alphabet")
+    return data
 
 
 def _running_key(
-    chunks: Iterable[str], key_letters: str, alphabet: Alphabet, sign: int
+    chunks: Iterable[str], key_letters: bytes, alphabet: Alphabet, sign: int
 ) -> Iterator[str]:
-    """Run checked key letters over chunks; the letters are folded to uppercase here."""
+    """Run a key's checked Latin-5 bytes over chunks; they are folded to uppercase here."""
     if not key_letters:
         raise EmptyKey("key contains no letters")
     if alphabet is Alphabet.ENGLISH26:
-        letters, lower, counted, upper = _ASCII_UPPER, str.lower, _ASCII_LETTERS, str.upper
+        letters, lower, counted = _ASCII_UPPER, str.lower, _ASCII_LETTERS
     else:
-        letters, lower, counted, upper = ALPHABET, to_lower_tr, LETTERS, canonical_letters
-    row, key = letters.encode(_LATIN5), upper(key_letters).encode(_LATIN5)
+        letters, lower, counted = ALPHABET, to_lower_tr, LETTERS
+    row = letters.encode(_LATIN5)
+    key = key_letters.translate(bytes.maketrans(lower(letters).encode(_LATIN5), row))
     # One table per letter the key holds, by its Latin-5 byte: bytes, unlike
     # a str, are searched and iterated without making 1-character strings.
     tables = {}

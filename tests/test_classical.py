@@ -51,7 +51,7 @@ from dgcipher import (
     vigenere_decrypt,
     vigenere_encrypt,
 )
-from dgcipher import text_model
+from dgcipher import engine
 from dgcipher.classical import atbash_stream, shift_stream, vigenere_stream
 from dgcipher.text_model import canonical_letters
 
@@ -249,9 +249,9 @@ class TestStreams:
         # template and a chunk of mostly letters is widened.
         taken = []
         for name in ("_scattered", "_widened"):
-            kernel = getattr(text_model, name)
+            kernel = getattr(engine, name)
             monkeypatch.setattr(
-                text_model, name, lambda *args, name=name, kernel=kernel: taken.append(name) or kernel(*args)
+                engine, name, lambda *args, name=name, kernel=kernel: taken.append(name) or kernel(*args)
             )
         key = "KALEMİŞÇĞÖ"
         pieces = ["1, 2! Şu? 3; " * 5 + "%", "Gazi Üniversitesi Teknoloji" * 3, "?? 4: ç ...", "Mikroişlemci"]

@@ -155,6 +155,9 @@ def test_cli_call_loads_only_what_it_runs(bare, workdir, argv: str, absent: set[
     assert ("dgcipher.grids" in added) is (rest[0] in _GRID_CIPHERS)
     # analyze counts letters with text_model alone.
     assert ("dgcipher.analysis" in added) is (command in ("crack", "flatness"))
+    # Only the calls that substitute load the engine.
+    substitutes = command in ("encrypt", "decrypt") or rest[0] in ("shift", "atbash", "vigenere")
+    assert ("dgcipher.engine" in added) is substitutes
     # Run as __main__, the CLI module would load a second time if imported.
     assert added & (absent | {"dgcipher.cli"}) == set()
 

@@ -13,15 +13,14 @@ from dgcipher import (
     to_lower_tr,
     to_upper_tr,
 )
+from dgcipher.engine import substitution_table, translate_stream
 from dgcipher.text_model import (
     LETTERS,
     LetterUnit,
     Passthrough,
     phase_counts,
     render,
-    substitution_table,
     tokenize,
-    translate_stream,
 )
 
 
