@@ -61,7 +61,6 @@ _EXPORTS = {
         "MissingRow",
         "NonCanonicalSymbol",
         "OddLengthCiphertext",
-        "PaddingInSameCellAsNeighbor",
         "RailsOutOfRange",
         "SeedOutOfRange",
         "ShiftOutOfRange",
@@ -70,7 +69,6 @@ _EXPORTS = {
     ),
     "grids": (
         "PlayfairSpec",
-        "PlayfairTable",
         "PolybiusSpec",
         "canonical_grid",
         "playfair_build",

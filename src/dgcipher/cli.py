@@ -21,7 +21,9 @@ closes the output early, as `head` does, ends the call quietly with exit
 
 All text I/O is strict UTF-8 with no newline translation, so piping
 encrypt into decrypt reproduces the input byte for byte. Invalid UTF-8 is
-reported with the input's name and the absolute offset of the bad byte.
+reported with the input's name and the absolute offset of the bad byte. A
+data error in a key file, --reference or --key-file names it, as given or
+<stdin>.
 
 Run as a process (`python -m dgcipher.cli`, or the `dgcipher` script),
 the CLI freezes the collector's heap on every exit path, so interpreter

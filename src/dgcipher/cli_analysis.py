@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cli_io import _INDEX_MODE, _IO, _REFERENCE, _input_chunks, _nonnegative, _resolve_keyset
+from .cli_io import _INDEX_MODE, _IO, _REFERENCE, _input_chunks, _named, _nonnegative, _resolve_keyset
 from .errors import EmptyText
 from .text_model import ALPHABET, IndexMode, phase_counts
 
@@ -28,7 +28,7 @@ def _cmd_analyze(args: argparse.Namespace, _parser: argparse.ArgumentParser):
 def _cmd_crack(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     from .analysis import build_reference_table, crack_shift
 
-    reference = build_reference_table(_input_chunks(args.reference))
+    reference = _named(args.reference, build_reference_table, _input_chunks(args.reference))
     guess = crack_shift(_input_chunks(args.infile), reference, min_letters=args.min_letters)
     if guess.low_confidence:
         print(
@@ -45,7 +45,7 @@ def _cmd_flatness(args: argparse.Namespace, _parser: argparse.ArgumentParser):
     from .analysis import build_reference_table, flatness_report
 
     keyset = _resolve_keyset(args.key)
-    reference = build_reference_table(_input_chunks(args.reference))
+    reference = _named(args.reference, build_reference_table, _input_chunks(args.reference))
     report = flatness_report(
         _input_chunks(args.infile), keyset, reference, mode=IndexMode(args.index_mode)
     )

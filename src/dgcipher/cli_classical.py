@@ -4,7 +4,7 @@ parsed args and the parser, as every command's does; it loads only its
 cipher's module and checks flags and key before it reads --in. A cipher is
 added as one record here; a flag, as one entry of its record's flags."""
 
-from .cli_io import _DECRYPT, _IO, _ONE_OF, _input_chunks
+from .cli_io import _DECRYPT, _IO, _ONE_OF, _input_chunks, _named
 from .text_model import Alphabet
 
 
@@ -58,8 +58,10 @@ def _scytale(args, _parser):
 
 def _vernam(args, _parser):
     from .classical import vernam_decrypt, vernam_encrypt
-    key = args.key if args.key_file is None else "".join(_input_chunks(args.key_file))
-    return _whole_text(args, vernam_encrypt, vernam_decrypt, key)
+    if args.key_file is None:
+        return _whole_text(args, vernam_encrypt, vernam_decrypt, args.key)
+    key = "".join(_input_chunks(args.key_file))
+    return _named(args.key_file, _whole_text, args, vernam_encrypt, vernam_decrypt, key)
 
 
 # Every cipher takes --decrypt, --in and --out before its own flags.

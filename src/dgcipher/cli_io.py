@@ -12,6 +12,7 @@ import os
 import stat
 import sys
 
+from .errors import CipherError
 from .text_model import IndexMode
 
 # Annotation-only names; `typing` is not imported at run time.
@@ -81,16 +82,29 @@ def _std_fd(stream: TextIO | None) -> int:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF)) from None
 
 
+def _input_name(path: str | None) -> str:
+    """An input's name in messages: the path as given, or <stdin>."""
+    return "<stdin>" if path in (None, "-") else path
+
+
 def _input_chunks(path: str | None) -> Iterator[str]:
     """Decode a UTF-8 input in chunks; '-' or no path reads stdin. A read
     error is raised as _BadInput, so _write_output can tell it from its own."""
     stdin = path in (None, "-")
-    name = "<stdin>" if stdin else path
+    name = _input_name(path)
     try:
         with open(_std_fd(sys.stdin) if stdin else path, "rb", closefd=not stdin) as handle:
             yield from _decode_chunks(handle, name)
     except OSError as err:
         raise _BadInput(OSError(err.errno, err.strerror, name)) from None
+
+
+def _named(path: str, call, *args):
+    """call(*args) on the contents of the input at path; a CipherError names that input."""
+    try:
+        return call(*args)
+    except CipherError as err:
+        raise type(err)(f"{_input_name(path)}: {err}") from None
 
 
 def _stat(target: str | TextIO | None) -> os.stat_result | None:
@@ -192,7 +206,7 @@ def _resolve_keyset(name: str):
 
     if name == _PAPER_KEY_NAME:
         return example_keyset()
-    return parse_keyset("".join(_input_chunks(name)))
+    return _named(name, parse_keyset, "".join(_input_chunks(name)))
 
 
 def _chosen(table, argv):

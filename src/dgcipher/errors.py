@@ -55,10 +55,6 @@ class EmptyKeyword(CipherError):
     """A grid keyword contains no letters."""
 
 
-class PaddingInSameCellAsNeighbor(CipherError):
-    """The padding letter shares a grid cell with the letter it must split."""
-
-
 class OddLengthCiphertext(CipherError):
     """A digram ciphertext contains an odd number of letters."""
 

@@ -20,7 +20,6 @@ from .errors import (
     MalformedDigitPair,
     NonCanonicalSymbol,
     OddLengthCiphertext,
-    PaddingInSameCellAsNeighbor,
     RailsOutOfRange,
     WrongLength,
 )
@@ -41,51 +40,26 @@ class PlayfairSpec(namedtuple("PlayfairSpec", "keyword padding", defaults=("M",)
     __slots__ = ()
 
 
-class PlayfairTable(namedtuple("PlayfairTable", "cells")):
-    """The 25 cell representatives in a 5x5 arrangement, row by row, as one string."""
-
-    __slots__ = ()
-
-    def position_of(self, letter: str) -> tuple[int, int]:
-        # One letter of the alphabet: "" or "AB" would match inside the row.
-        if len(letter) != 1 or letter not in ALPHABET:
-            raise LetterNotInGrid(f"letter {letter!r} has no cell")
-        return divmod(self.cells.index(letter.translate(_FOLD)), 5)
-
-    def representative_at(self, row: int, col: int) -> str:
-        return self.cells[row * 5 + col]
-
-    def same_cell(self, a: str, b: str) -> bool:
-        return self.position_of(a) == self.position_of(b)
-
-
-def playfair_build(keyword: str) -> PlayfairTable:
-    """Build the table: keyword cells first (deduplicated, order kept),
-    then every remaining cell in canonical order."""
+def playfair_build(keyword: str) -> str:
+    """The 25 cell representatives of the 5x5 table, row by row: keyword
+    cells first (deduplicated, order kept), then every remaining cell in
+    canonical order."""
     keyword_letters = canonical_letters(keyword)
     if not keyword_letters:
         raise EmptyKeyword("keyword contains no letters")
-    return PlayfairTable("".join(dict.fromkeys((keyword_letters + ALPHABET).translate(_FOLD))))
+    return "".join(dict.fromkeys((keyword_letters + ALPHABET).translate(_FOLD)))
 
 
-def _playfair_padded(letters: str, padding: str) -> str:
-    # The folded letters, with the padding after a letter whose neighbor
-    # shares its cell and after a trailing single letter.
-    folded, pad = letters.translate(_FOLD), padding.translate(_FOLD)
-    digrams: list[str] = []
-    i = 0
-    while i < len(folded):
-        if i + 1 < len(folded) and folded[i] != folded[i + 1]:
-            digrams.append(folded[i : i + 2])
-            i += 2
-            continue
-        if folded[i] == pad:
-            raise PaddingInSameCellAsNeighbor(
-                f"padding {padding!r} shares a cell with {letters[i]!r}"
-            )
-        digrams.append(folded[i] + pad)
-        i += 1
-    return "".join(digrams)
+# A folded letter, then the next one unless it shares the first one's cell.
+_DIGRAM = re.compile(r"(.)((?!\1).)?")
+
+
+def _playfair_padded(folded: str, pad: str) -> str:
+    # A filler goes after a letter whose neighbor shares its cell and after a
+    # trailing letter: the padding, or a spare (A, or B when the padding is A)
+    # after a letter in the padding's own cell.
+    spare = "B" if pad == "A" else "A"
+    return _DIGRAM.sub(lambda m: m[0] if m[2] else m[1] + (spare if m[1] == pad else pad), folded)
 
 
 def _padding_letter(spec: PlayfairSpec) -> str:
@@ -98,14 +72,12 @@ def _padding_letter(spec: PlayfairSpec) -> str:
 def _playfair(message: str, spec: PlayfairSpec, shift: int) -> str:
     # Encryption (shift +1) pads the letters into digrams; decryption
     # (shift -1) takes them two by two.
-    cells = playfair_build(spec.keyword).cells
-    letters = canonical_letters(message)
+    cells = playfair_build(spec.keyword)
+    letters = canonical_letters(message).translate(_FOLD)
     if shift > 0:
-        letters = _playfair_padded(letters, _padding_letter(spec))
+        letters = _playfair_padded(letters, _padding_letter(spec).translate(_FOLD))
     elif len(letters) % 2:
         raise OddLengthCiphertext(f"{len(letters)} letters cannot form digrams")
-    else:
-        letters = letters.translate(_FOLD)
     where = {letter: divmod(i, 5) for i, letter in enumerate(cells)}
     out: list[str] = []
     for a, b in zip(letters[::2], letters[1::2]):
@@ -130,7 +102,7 @@ def playfair_decrypt(message: str, spec: PlayfairSpec) -> str:
     """Invert playfair_encrypt digram by digram (left/up/swap columns).
 
     Decryption emits cell representatives, so merged letters come back as
-    S, U or V. Padding letters inserted on encryption are kept.
+    S, U or V. Fillers inserted on encryption are kept.
     """
     return _playfair(message, spec, -1)
 

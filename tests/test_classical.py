@@ -24,7 +24,6 @@ from dgcipher import (
     MalformedDigitPair,
     NonCanonicalSymbol,
     OddLengthCiphertext,
-    PaddingInSameCellAsNeighbor,
     PlayfairSpec,
     PolybiusSpec,
     RailsOutOfRange,
@@ -398,35 +397,44 @@ class TestVigenere:
         assert vigenere_decrypt(encrypted, key, Alphabet.TURKISH29) == message
 
 
-def playfair_reference(message: str, spec: PlayfairSpec) -> str | None:
-    """Digram stream the decrypted text must equal: representatives of the
-    original letters plus inserted padding. None if padding cannot be used."""
-    table = playfair_build(spec.keyword)
-    letters = canon_letters(message)
+# The oracle's own cells: Ş sits with S, Ü with U, and Y and Z with V.
+PLAYFAIR_CELL = {"Ş": "S", "Ü": "U", "Y": "V", "Z": "V"}
+
+
+def playfair_cell(letter: str) -> str:
+    return PLAYFAIR_CELL.get(letter, letter)
+
+
+def playfair_reference(message: str, spec: PlayfairSpec) -> str:
+    """Digram stream the decrypted text must equal: the cells of the
+    original letters, with a filler after a letter whose neighbor shares
+    its cell and after a trailing letter. The filler is the padding, or
+    after a letter in the padding's cell the spare A (B for padding A)."""
+    letters = [playfair_cell(letter) for letter in canon_letters(message)]
+    pad = playfair_cell(spec.padding)
     stream: list[str] = []
     i = 0
     while i < len(letters):
         a = letters[i]
-        if i + 1 < len(letters) and not table.same_cell(a, letters[i + 1]):
+        if i + 1 < len(letters) and letters[i + 1] != a:
             stream += [a, letters[i + 1]]
             i += 2
             continue
-        if table.same_cell(a, spec.padding.upper()):
-            return None
-        stream += [a, spec.padding.upper()]
+        stream += [a, ("B" if pad == "A" else "A") if a == pad else pad]
         i += 1
-    return "".join(table.representative_at(*table.position_of(l)) for l in stream)
+    return "".join(stream)
+
+
+def playfair_rows(keyword: str) -> list[str]:
+    table = playfair_build(keyword)
+    return [table[r * 5 : r * 5 + 5] for r in range(5)]
 
 
 class TestPlayfair:
     def test_table_layout(self):
-        table = playfair_build("kriptografi")
-        rows = ["".join(table.representative_at(r, c) for c in range(5)) for r in range(5)]
-        assert rows == ["KRİPT", "OGAFB", "CÇDEĞ", "HIJLM", "NÖSUV"]
+        assert playfair_rows("kriptografi") == ["KRİPT", "OGAFB", "CÇDEĞ", "HIJLM", "NÖSUV"]
         # A keyword of merged letters takes each cell once, by its representative.
-        table = playfair_build("ŞEYZÜ")
-        rows = ["".join(table.representative_at(r, c) for c in range(5)) for r in range(5)]
-        assert rows == ["SEVUA", "BCÇDF", "GĞHIİ", "JKLMN", "OÖPRT"]
+        assert playfair_rows("ŞEYZÜ") == ["SEVUA", "BCÇDF", "GĞHIİ", "JKLMN", "OÖPRT"]
 
     def test_known_vectors(self):
         spec = PlayfairSpec("kriptografi")
@@ -439,11 +447,12 @@ class TestPlayfair:
         assert playfair_decrypt("UAULUHJVVĞTI", spec) == "VUVMVILSEHRİ"
 
     def test_merged_letters_share_cells(self):
-        table = playfair_build("kriptografi")
-        assert table.same_cell("S", "Ş")
-        assert table.same_cell("U", "Ü")
-        assert table.same_cell("V", "Y") and table.same_cell("Y", "Z")
-        assert not table.same_cell("A", "B")
+        # The table holds one letter per cell: Ş, Ü, Y and Z encrypt as S, U and V.
+        assert sorted(playfair_build("kriptografi")) == sorted(set(ALPHABET) - set(PLAYFAIR_CELL))
+        spec = PlayfairSpec("kriptografi")
+        for merged, cell in PLAYFAIR_CELL.items():
+            assert playfair_encrypt("A" + merged, spec) == playfair_encrypt("A" + cell, spec)
+        assert playfair_encrypt("AB", spec) != playfair_encrypt("AC", spec)
 
     def test_same_cell_digram_gets_padding(self):
         spec = PlayfairSpec("kriptografi")
@@ -453,22 +462,20 @@ class TestPlayfair:
         spec = PlayfairSpec("kriptografi")
         assert playfair_encrypt("ODA", spec) == playfair_encrypt("ODAM", spec)
 
-    def test_padding_conflict(self):
-        with pytest.raises(PaddingInSameCellAsNeighbor):
-            playfair_encrypt("AMM", PlayfairSpec("kriptografi"))
-        with pytest.raises(PaddingInSameCellAsNeighbor):
-            playfair_encrypt("S", PlayfairSpec("kriptografi", padding="Ş"))
-        # The message names the letters as given, not their cells' representatives.
-        with pytest.raises(PaddingInSameCellAsNeighbor, match=r"^padding 'S' shares a cell with 'Ş'$"):
-            playfair_encrypt("Ş", PlayfairSpec("kriptografi", padding="S"))
-        with pytest.raises(PaddingInSameCellAsNeighbor, match=r"^padding 'V' shares a cell with 'Z'$"):
-            playfair_encrypt("AYZ", PlayfairSpec("kriptografi", padding="V"))
-
-    # "KR" opens the row of the kriptografi table, so a bare search finds it.
-    @pytest.mark.parametrize("letter", ["", "AB", "KR", "x", "ş", "Q"])
-    def test_position_of_needs_one_uppercase_letter(self, letter: str):
-        with pytest.raises(LetterNotInGrid, match=f"^letter {letter!r} has no cell$"):
-            playfair_build("kriptografi").position_of(letter)
+    def test_spare_filler(self):
+        # A letter in the padding's own cell takes the spare A, or B when the padding is A.
+        spec = PlayfairSpec("kriptografi")
+        assert playfair_encrypt("AMM", spec) == "BJJB" == playfair_encrypt("AMMA", spec)
+        assert playfair_decrypt("BJJB", spec) == "AMMA"
+        spec = PlayfairSpec("kriptografi", padding="A")
+        assert playfair_encrypt("AAM", spec) == "FOBJ" == playfair_encrypt("ABAM", spec)
+        assert playfair_decrypt("FOBJ", spec) == "ABAM"
+        # The padding's cell, not its letter, decides: S and Ş, V and Z share one.
+        for message, padding in (("S", "Ş"), ("Ş", "S")):
+            spec = PlayfairSpec("kriptografi", padding)
+            assert playfair_decrypt(playfair_encrypt(message, spec), spec) == "SA"
+        spec = PlayfairSpec("kriptografi", padding="V")
+        assert playfair_decrypt(playfair_encrypt("AYZ", spec), spec) == "AVVA"
 
     def test_empty_keyword(self):
         with pytest.raises(EmptyKeyword):
@@ -483,28 +490,35 @@ class TestPlayfair:
             playfair_decrypt("ABC", PlayfairSpec("kriptografi"))
 
     def test_no_digram_maps_to_itself(self):
-        table = playfair_build("kriptografi")
-        reps = [table.representative_at(r, c) for r in range(5) for c in range(5)]
+        cells = playfair_build("kriptografi")
         spec = PlayfairSpec("kriptografi")
-        for a in reps:
-            for b in reps:
-                if table.same_cell(a, b):
-                    continue
-                assert playfair_encrypt(a + b, spec) != a + b
+        for a in cells:
+            for b in cells:
+                if a != b:
+                    assert playfair_encrypt(a + b, spec) != a + b
 
     @given(
         st.text(alphabet=st.sampled_from(MESSAGE_CHARS), max_size=40),
         st.sampled_from(["kriptografi", "Gazi", "müjde", "ab"]),
-        st.sampled_from("MKB"),
+        st.sampled_from("MKBAŞ"),
     )
     def test_roundtrip_up_to_padding_and_merges(self, message: str, keyword: str, padding: str):
         spec = PlayfairSpec(keyword, padding)
         expected = playfair_reference(message, spec)
-        if expected is None:
-            with pytest.raises(PaddingInSameCellAsNeighbor):
-                playfair_encrypt(message, spec)
-            return
         assert playfair_decrypt(playfair_encrypt(message, spec), spec) == expected
+
+    @given(
+        st.text(alphabet=st.sampled_from(LETTER_CHARS), max_size=40),
+        st.sampled_from(["kriptografi", "müjde"]),
+        st.sampled_from(ALPHABET),
+    )
+    def test_every_text_pads_into_digrams(self, message: str, keyword: str, padding: str):
+        spec = PlayfairSpec(keyword, padding)
+        stream = playfair_decrypt(playfair_encrypt(message, spec), spec)
+        assert len(stream) % 2 == 0
+        assert all(
+            playfair_cell(a) != playfair_cell(b) for a, b in zip(stream[::2], stream[1::2])
+        )
 
 
 class TestPolybius:

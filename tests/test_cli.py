@@ -877,6 +877,72 @@ class TestOneInputReadsStdin:
         assert (code, out) == (2, b"")
         assert err.decode() == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
+class TestDataErrorsNameTheFile:
+    """A data error in the contents of a --key file, a --reference or a
+    vernam --key-file starts with its name as given, or <stdin> for '-'.
+    Errors about --in and about inline key letters name no file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("encrypt", "--key", "{}"),
+            ("decrypt", "--key", "{}"),
+            ("keycheck", "--key", "{}"),
+            ("flatness", "--key", "{}", "--reference", "{corpus}"),
+        ],
+        ids=["encrypt", "decrypt", "keycheck", "flatness"],
+    )
+    def test_key_file(self, tmp_path: pathlib.Path, corpus_path: pathlib.Path, argv: tuple[str, ...]):
+        short = tmp_path / "short.keys"
+        short.write_text("CASCADE-KEYS v1\n", encoding="utf-8")
+        code, out, err = run(*(a.format(short, corpus=corpus_path) for a in argv), stdin=b"AA")
+        assert (code, out) == (2, b"")
+        assert err.decode() == f"error: MissingRow: {short}: expected row G1S1, found end of file\n"
+
+    def test_key_file_row_error_and_stdin_key(self, tmp_path: pathlib.Path):
+        lines = serialize_keyset(generate_keyset(1)).splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("G1S1:"))
+        lines[row] = lines[row][:-1]  # G1S1 loses its last letter
+        bad = "\n".join(lines) + "\n"
+        (tmp_path / "bad.keys").write_text(bad, encoding="utf-8")
+        (tmp_path / "plain.txt").write_text("Gazi", encoding="utf-8")
+        want = "WrongLength: {}: in G1S1: expected 29 letters, got 28"
+        code, out, err = run("keycheck", "--key", str(tmp_path / "bad.keys"))
+        assert (code, out, err.decode()) == (2, b"", f"error: {want.format(tmp_path / 'bad.keys')}\n")
+        code, out, err = run("encrypt", "--key", "-", "--in", str(tmp_path / "plain.txt"), stdin=bad.encode())
+        assert (code, out, err.decode()) == (2, b"", f"error: {want.format('<stdin>')}\n")
+
+    @pytest.mark.parametrize("argv", [("crack",), ("flatness", "--key", "paper")], ids=["crack", "flatness"])
+    def test_reference(self, tmp_path: pathlib.Path, corpus_path: pathlib.Path, argv: tuple[str, ...]):
+        letterless = tmp_path / "letterless.txt"
+        letterless.write_bytes(b"12 ?!\n")
+        code, out, err = run(*argv, "--reference", str(letterless), stdin="Gazi".encode())
+        assert (code, out) == (2, b"")
+        assert err.decode() == f"error: EmptyText: {letterless}: no letters to count\n"
+        code, out, err = run(*argv, "--reference", "-", "--in", str(corpus_path), stdin=b"12")
+        assert (code, out, err) == (2, b"", b"error: EmptyText: <stdin>: no letters to count\n")
+        # A letterless --in keeps its message.
+        code, out, err = run("crack", "--reference", str(corpus_path), "--in", str(letterless))
+        assert (code, out, err) == (2, b"", b"error: EmptyText: no letters to count\n")
+
+    def test_vernam_key_file(self, tmp_path: pathlib.Path):
+        key = tmp_path / "otp.key"
+        key.write_text("K3\n", encoding="utf-8")
+        code, out, err = run("classical", "vernam", "--key-file", str(key), stdin=b"TT")
+        assert (code, out) == (2, b"")
+        assert err.decode() == f"error: KeyLetterOutsideAlphabet: {key}: key character '3' is outside the alphabet\n"
+        key.write_text("K\n", encoding="utf-8")
+        code, out, err = run("classical", "vernam", "--key-file", str(key), stdin=b"TT")
+        assert (code, out) == (2, b"")
+        assert err.decode() == f"error: KeyTooShort: {key}: message has 2 letters, key has 1\n"
+        code, out, err = run("classical", "vernam", "--key-file", "-", "--in", str(key), stdin=b"K3")
+        assert (code, out) == (2, b"")
+        assert err == b"error: KeyLetterOutsideAlphabet: <stdin>: key character '3' is outside the alphabet\n"
+        # Inline key letters name no file.
+        code, out, err = run("classical", "vernam", "--key", "K", stdin=b"TT")
+        assert (code, out, err) == (2, b"", b"error: KeyTooShort: message has 2 letters, key has 1\n")
+
+
 def parse(parser, argv: list[str]) -> tuple[object, str, str]:
     """What parsing argv returns or exits with, and what it prints."""
     out, err = io.StringIO(), io.StringIO()

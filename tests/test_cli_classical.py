@@ -35,6 +35,7 @@ from dgcipher import (
     vigenere_decrypt,
     vigenere_encrypt,
 )
+from test_classical import playfair_reference
 
 CMD = [sys.executable, "-m", "dgcipher.cli"]
 # No digits: polybius must decode its own output.
@@ -216,6 +217,18 @@ def test_vernam_missing_key_file_fails_before_the_message_is_read(tmp_path: path
     code, out, err = run_with_stdin_open("vernam", "--key-file", missing)
     assert (code, out) == (2, b"")
     assert err.decode() == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+@pytest.mark.parametrize("padding", ["M", "A"])
+def test_playfair_corpus_roundtrip(corpus_path: pathlib.Path, corpus_text: str, padding: str):
+    # The corpus has letters in the padding's cell that need the spare filler.
+    flags = ("playfair", "--keyword", "kriptografi", "--padding", padding)
+    code, encrypted, err = run(*flags, "--in", str(corpus_path))
+    assert (code, err) == (0, b"")
+    code, decrypted, err = run(*flags, "--decrypt", stdin=encrypted)
+    assert (code, err) == (0, b"")
+    want = playfair_reference(corpus_text, PlayfairSpec("kriptografi", padding))
+    assert decrypted.decode() == want + "\n"
 
 
 @pytest.mark.parametrize(

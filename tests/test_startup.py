@@ -33,7 +33,6 @@ from dgcipher import (
     flatness_report,
     generate_keyset,
     letter_frequencies,
-    playfair_build,
     rank_match_attack,
     serialize_keyset,
 )
@@ -334,7 +333,6 @@ def _records(reference):
         ),
         (lambda: PlayfairSpec("KALEM"), ("keyword", "padding"), True),
         (canonical_grid, ("rows", "cols", "grid"), True),
-        (lambda: playfair_build("KALEM"), ("cells",), True),
     ]
 
 
